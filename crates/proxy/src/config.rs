@@ -3,6 +3,7 @@
 use siperf_overload::OverloadConfig;
 use siperf_simcore::time::SimDuration;
 use siperf_simos::process::Nice;
+use siperf_simos::syscall::MsgTransport;
 
 /// The network transport the proxy speaks with its phones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,6 +31,16 @@ impl Transport {
     /// Whether the transport retransmits for us.
     pub fn is_reliable(self) -> bool {
         !matches!(self, Transport::Udp)
+    }
+
+    /// The message-oriented socket shape this transport shares, or `None`
+    /// for TCP's streams.
+    pub fn msg_transport(self) -> Option<MsgTransport> {
+        match self {
+            Transport::Udp => Some(MsgTransport::Udp),
+            Transport::Sctp => Some(MsgTransport::Sctp),
+            Transport::Tcp => None,
+        }
     }
 }
 

@@ -6,13 +6,13 @@
 //!
 //! Three transports, two architectures, and the paper's two fixes:
 //!
-//! * [`udp`] — symmetric worker processes on one inherited socket (§3.2).
+//! * [`msg`] — symmetric worker processes on one inherited socket: UDP's
+//!   architecture (§3.2), and the §6 SCTP alternative that keeps it on a
+//!   reliable, kernel-managed, message-oriented transport.
 //! * [`tcp`] — the supervisor/worker architecture: descriptor ownership,
 //!   blocking fd-request IPC, close-after-send, and the two-step idle
 //!   shutdown (§3.1) — plus the §5.2 **fd cache** and §5.3 **priority
 //!   queue** fixes, both off by default (the Figure 3 baseline).
-//! * [`sctp`] — the §6 alternative: UDP's architecture on a reliable,
-//!   kernel-managed, message-oriented transport.
 //! * [`threaded`] — the §6 multi-threaded proposal: shared descriptor
 //!   table, no fd-passing IPC.
 //! * [`timer`] — the retransmission/reaping process (essential for UDP,
@@ -42,13 +42,12 @@
 pub mod config;
 pub mod conn;
 pub mod core;
+pub mod msg;
 pub mod plumbing;
-pub mod sctp;
 pub mod spawn;
 pub mod tcp;
 pub mod threaded;
 pub mod timer;
-pub mod udp;
 pub mod util;
 
 pub use config::{AppCostModel, Arch, IdleStrategy, ProxyConfig, Transport};

@@ -18,12 +18,11 @@ use siperf_simos::ipc::ChanId;
 use crate::config::{Arch, IdleStrategy, ProxyConfig, Transport};
 use crate::conn::ConnTable;
 use crate::core::{ProxyCore, ProxyStats};
+use crate::msg::MsgWorker;
 use crate::plumbing::Locks;
-use crate::sctp::SctpWorker;
 use crate::tcp::{Supervisor, SupervisorCtl, TcpShared, TcpWorker};
 use crate::threaded::{Acceptor, ThreadShared, ThreadWorker};
 use crate::timer::TimerProc;
-use crate::udp::UdpWorker;
 use crate::util::addr_to_host_str;
 
 /// Number of striped per-connection write locks in the threaded mode.
@@ -98,28 +97,19 @@ impl ProxyHandle {
         let pid = match &mut self.respawn {
             RespawnCtx::Msg { slots } => {
                 let slot: Rc<Cell<Option<Fd>>> = Rc::new(Cell::new(None));
-                let (proc_box, name): (Box<dyn siperf_simos::process::Process>, String) =
-                    match self.cfg.transport {
-                        Transport::Udp => (
-                            Box::new(UdpWorker::new(
-                                self.core.clone(),
-                                self.cfg.app_costs.clone(),
-                                self.locks,
-                                slot.clone(),
-                            )),
-                            format!("udp_worker{idx}"),
-                        ),
-                        _ => (
-                            Box::new(SctpWorker::new(
-                                self.core.clone(),
-                                self.cfg.app_costs.clone(),
-                                self.locks,
-                                slot.clone(),
-                            )),
-                            format!("sctp_worker{idx}"),
-                        ),
-                    };
-                let pid = kernel.spawn(self.host, self.cfg.worker_nice, name, proc_box);
+                let worker = MsgWorker::new(
+                    self.cfg.transport,
+                    self.core.clone(),
+                    self.cfg.app_costs.clone(),
+                    self.locks,
+                    slot.clone(),
+                );
+                let pid = kernel.spawn(
+                    self.host,
+                    self.cfg.worker_nice,
+                    msg_worker_name(self.cfg.transport, idx),
+                    Box::new(worker),
+                );
                 // Donor search: any surviving process holding the shared
                 // socket (siblings first, then the SCTP timer's slot).
                 let mut donor = None;
@@ -144,11 +134,14 @@ impl ProxyHandle {
                         .expect("donor descriptor is live"),
                     None => {
                         // Every holder died: the socket is gone, bind anew.
-                        let fds = match self.cfg.transport {
-                            Transport::Udp => kernel.setup_shared_udp(self.host, SIP_PORT, &[pid]),
-                            _ => kernel.setup_shared_sctp(self.host, SIP_PORT, &[pid]),
-                        };
-                        fds.expect("rebind proxy socket")[0]
+                        let mt = self
+                            .cfg
+                            .transport
+                            .msg_transport()
+                            .expect("message transport");
+                        kernel
+                            .setup_shared(mt, self.host, SIP_PORT, &[pid])
+                            .expect("rebind proxy socket")[0]
                     }
                 };
                 slot.set(Some(fd));
@@ -226,6 +219,11 @@ impl ProxyHandle {
     }
 }
 
+/// Process name of symmetric worker `i`: `udp_worker{i}` or `sctp_worker{i}`.
+fn msg_worker_name(transport: Transport, i: usize) -> String {
+    format!("{}_worker{i}", transport.token().to_ascii_lowercase())
+}
+
 /// Builds and spawns a proxy on `host` per `cfg`.
 ///
 /// # Panics
@@ -259,57 +257,30 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
     let respawn;
 
     match (cfg.transport, cfg.arch) {
-        (Transport::Udp, _) => {
-            let mut slots = Vec::with_capacity(n);
-            for i in 0..n {
-                let slot: Rc<Cell<Option<Fd>>> = Rc::new(Cell::new(None));
-                let worker =
-                    UdpWorker::new(core.clone(), cfg.app_costs.clone(), locks, slot.clone());
-                workers.push(kernel.spawn(
-                    host,
-                    cfg.worker_nice,
-                    format!("udp_worker{i}"),
-                    Box::new(worker),
-                ));
-                slots.push(slot);
-            }
-            timer = Some(kernel.spawn(
-                host,
-                cfg.worker_nice,
-                "timer",
-                Box::new(TimerProc::new(
-                    core.clone(),
-                    cfg.app_costs.clone(),
-                    locks,
-                    cfg.timer_tick,
-                    Transport::Udp,
-                    None,
-                )),
-            ));
-            let fds = kernel
-                .setup_shared_udp(host, SIP_PORT, &workers)
-                .expect("bind proxy UDP socket");
-            for (slot, fd) in slots.iter().zip(fds) {
-                slot.set(Some(fd));
-            }
-            respawn = RespawnCtx::Msg { slots };
-        }
-        (Transport::Sctp, _) => {
+        (Transport::Udp | Transport::Sctp, _) => {
             let mut slots = Vec::with_capacity(n + 1);
             for i in 0..n {
                 let slot: Rc<Cell<Option<Fd>>> = Rc::new(Cell::new(None));
-                let worker =
-                    SctpWorker::new(core.clone(), cfg.app_costs.clone(), locks, slot.clone());
+                let worker = MsgWorker::new(
+                    cfg.transport,
+                    core.clone(),
+                    cfg.app_costs.clone(),
+                    locks,
+                    slot.clone(),
+                );
                 workers.push(kernel.spawn(
                     host,
                     cfg.worker_nice,
-                    format!("sctp_worker{i}"),
+                    msg_worker_name(cfg.transport, i),
                     Box::new(worker),
                 ));
                 slots.push(slot);
             }
-            let timer_slot: Rc<Cell<Option<Fd>>> = Rc::new(Cell::new(None));
-            timer = Some(kernel.spawn(
+            // The UDP timer binds its own ephemeral socket; the SCTP timer
+            // inherits the shared endpoint like a worker, which also makes
+            // it a donor for respawned workers.
+            let timer_slot = (cfg.transport == Transport::Sctp).then(|| Rc::new(Cell::new(None)));
+            let timer_pid = kernel.spawn(
                 host,
                 cfg.worker_nice,
                 "timer",
@@ -318,16 +289,20 @@ pub fn spawn_proxy(kernel: &mut Kernel, host: HostId, cfg: ProxyConfig) -> Proxy
                     cfg.app_costs.clone(),
                     locks,
                     cfg.timer_tick,
-                    Transport::Sctp,
-                    Some(timer_slot.clone()),
+                    cfg.transport,
+                    timer_slot.clone(),
                 )),
-            ));
-            slots.push(timer_slot);
+            );
+            timer = Some(timer_pid);
             let mut pids = workers.clone();
-            pids.push(timer.expect("just spawned"));
+            if let Some(slot) = timer_slot {
+                slots.push(slot);
+                pids.push(timer_pid);
+            }
+            let mt = cfg.transport.msg_transport().expect("message transport");
             let fds = kernel
-                .setup_shared_sctp(host, SIP_PORT, &pids)
-                .expect("bind proxy SCTP endpoint");
+                .setup_shared(mt, host, SIP_PORT, &pids)
+                .expect("bind proxy SIP socket");
             for (slot, fd) in slots.iter().zip(fds) {
                 slot.set(Some(fd));
             }

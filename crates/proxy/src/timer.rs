@@ -18,21 +18,11 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use siperf_simos::process::{Process, ResumeCtx};
-use siperf_simos::syscall::{Fd, SysResult, Syscall};
+use siperf_simos::syscall::{Fd, MsgTransport, SysResult, Syscall};
 
 use crate::config::{AppCostModel, Transport};
 use crate::core::ProxyCore;
 use crate::plumbing::{tags, Locks};
-
-/// How the timer process puts retransmissions on the wire.
-enum TimerSocket {
-    /// Needs its own ephemeral UDP socket.
-    Udp(Option<Fd>),
-    /// Shares the inherited SCTP endpoint.
-    Sctp(Rc<Cell<Option<Fd>>>, Option<Fd>),
-    /// TCP: no socket; retransmissions never happen, timeouts are dropped.
-    None,
-}
 
 /// The retransmission/reaping timer process.
 pub struct TimerProc {
@@ -40,34 +30,36 @@ pub struct TimerProc {
     costs: AppCostModel,
     locks: Locks,
     tick: siperf_simcore::time::SimDuration,
-    socket: TimerSocket,
+    /// How retransmissions go on the wire; `None` under TCP, where they
+    /// never happen and timeouts are dropped.
+    transport: Option<MsgTransport>,
+    /// The shared SCTP endpoint, inherited like the workers'. Without one,
+    /// a UDP timer binds its own ephemeral socket.
+    shared: Option<Rc<Cell<Option<Fd>>>>,
+    fd: Option<Fd>,
     script: VecDeque<Syscall>,
     started: bool,
 }
 
 impl TimerProc {
-    /// Creates the timer process for the given transport.
+    /// Creates the timer process for the given transport; `shared` is the
+    /// shared-endpoint slot the timer inherits (SCTP only).
     pub fn new(
         core: Rc<RefCell<ProxyCore>>,
         costs: AppCostModel,
         locks: Locks,
         tick: siperf_simcore::time::SimDuration,
         transport: Transport,
-        sctp_fd_slot: Option<Rc<Cell<Option<Fd>>>>,
+        shared: Option<Rc<Cell<Option<Fd>>>>,
     ) -> Self {
-        let socket = match transport {
-            Transport::Udp => TimerSocket::Udp(None),
-            Transport::Sctp => {
-                TimerSocket::Sctp(sctp_fd_slot.expect("sctp slot for sctp proxy"), None)
-            }
-            Transport::Tcp => TimerSocket::None,
-        };
         TimerProc {
             core,
             costs,
             locks,
             tick,
-            socket,
+            transport: transport.msg_transport(),
+            shared,
+            fd: None,
             script: VecDeque::new(),
             started: false,
         }
@@ -96,32 +88,11 @@ impl TimerProc {
         self.script.push_back(Syscall::LockRelease {
             lock: self.locks.timer,
         });
-        let send_fd = match &self.socket {
-            TimerSocket::Udp(fd) => *fd,
-            TimerSocket::Sctp(_, fd) => *fd,
-            TimerSocket::None => None,
-        };
         for out in pass.retransmits.into_iter().chain(pass.timeouts) {
-            match (&self.socket, send_fd) {
-                (TimerSocket::Udp(_), Some(fd)) => {
-                    self.script.push_back(Syscall::UdpSend {
-                        fd,
-                        to: out.dest,
-                        data: out.bytes,
-                    });
-                }
-                (TimerSocket::Sctp(..), Some(fd)) => {
-                    self.script.push_back(Syscall::SctpSend {
-                        fd,
-                        to: out.dest,
-                        data: out.bytes,
-                    });
-                }
-                _ => {
-                    // TCP timer has no connection to send on; see module
-                    // docs.
-                    self.core.borrow_mut().stats.send_errors += 1;
-                }
+            match (self.transport, self.fd) {
+                (Some(mt), Some(fd)) => self.script.push_back(mt.send(fd, out.dest, out.bytes)),
+                // TCP timer has no connection to send on; see module docs.
+                _ => self.core.borrow_mut().stats.send_errors += 1,
             }
         }
         self.script.push_back(Syscall::Sleep(self.tick));
@@ -135,17 +106,15 @@ impl Process for TimerProc {
         }
         if !self.started {
             self.started = true;
-            match &mut self.socket {
-                TimerSocket::Udp(_) => return Syscall::UdpBindEphemeral,
-                TimerSocket::Sctp(slot, fd) => {
-                    *fd = Some(slot.get().expect("shared SCTP endpoint installed"));
-                }
-                TimerSocket::None => {}
+            if let Some(slot) = &self.shared {
+                self.fd = Some(slot.get().expect("shared SCTP endpoint installed"));
+            } else if self.transport == Some(MsgTransport::Udp) {
+                return Syscall::UdpBindEphemeral;
             }
             return Syscall::Sleep(self.tick);
         }
-        if let TimerSocket::Udp(fd @ None) = &mut self.socket {
-            *fd = Some(last.expect_fd());
+        if self.fd.is_none() && self.transport == Some(MsgTransport::Udp) {
+            self.fd = Some(last.expect_fd());
             return Syscall::Sleep(self.tick);
         }
         if let Some(next) = self.script.pop_front() {

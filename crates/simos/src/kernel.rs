@@ -38,7 +38,7 @@ use crate::cost::CostModel;
 use crate::ipc::{ChanId, Channel, Parcel, Side};
 use crate::lock::{Lock, LockId};
 use crate::process::{Nice, ProcId, Process, ResumeCtx};
-use crate::syscall::{Fd, IpcMsg, SysResult, Syscall};
+use crate::syscall::{Fd, IpcMsg, MsgTransport, SysResult, Syscall};
 
 /// What a descriptor refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -319,44 +319,26 @@ impl Kernel {
         pid
     }
 
-    /// Creates a bound UDP socket at world-building time and installs a
-    /// descriptor for it in each of `pids` — the fork-inheritance pattern:
-    /// OpenSER's main process binds the SIP socket once and every forked
-    /// worker inherits it.
+    /// Creates a bound UDP socket or SCTP endpoint at world-building time
+    /// and installs a descriptor for it in each of `pids` — the
+    /// fork-inheritance pattern: OpenSER's main process binds the SIP
+    /// socket once and every forked worker inherits it.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
-    pub fn setup_shared_udp(
+    pub fn setup_shared(
         &mut self,
+        transport: MsgTransport,
         host: HostId,
         port: siperf_simnet::Port,
         pids: &[ProcId],
     ) -> Result<Vec<Fd>, Errno> {
-        let ep = self.net.udp_bind(host, port)?;
-        Ok(pids
-            .iter()
-            .map(|&pid| self.install_fd(pid, FdKind::Udp(ep)))
-            .collect())
-    }
-
-    /// Creates a bound SCTP endpoint at world-building time and installs a
-    /// descriptor in each of `pids` (fork inheritance, as with UDP).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn setup_shared_sctp(
-        &mut self,
-        host: HostId,
-        port: siperf_simnet::Port,
-        pids: &[ProcId],
-    ) -> Result<Vec<Fd>, Errno> {
-        let ep = self.net.sctp_bind(host, port)?;
-        Ok(pids
-            .iter()
-            .map(|&pid| self.install_fd(pid, FdKind::Sctp(ep)))
-            .collect())
+        let kind = match transport {
+            MsgTransport::Udp => FdKind::Udp(self.net.udp_bind(host, port)?),
+            MsgTransport::Sctp => FdKind::Sctp(self.net.sctp_bind(host, port)?),
+        };
+        Ok(pids.iter().map(|&pid| self.install_fd(pid, kind)).collect())
     }
 
     // ----------------------------------------------------- fault injection

@@ -68,4 +68,4 @@ pub use ipc::{ChanId, Side};
 pub use kernel::{FdKind, Kernel, KernelStats, RunOutcome};
 pub use lock::LockId;
 pub use process::{Nice, ProcId, Process, ResumeCtx};
-pub use syscall::{Fd, IpcMsg, SysResult, Syscall};
+pub use syscall::{Fd, IpcMsg, MsgTransport, SysResult, Syscall};

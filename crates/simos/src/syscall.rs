@@ -199,6 +199,44 @@ pub enum Syscall {
     },
 }
 
+/// The two message-oriented transports. UDP datagrams and SCTP one-to-many
+/// messages have one socket shape — bind a port, send whole messages to any
+/// peer, receive whole messages from any peer — so processes that speak
+/// either build their syscalls through this selector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MsgTransport {
+    /// Plain datagrams.
+    Udp,
+    /// Kernel-managed associations.
+    Sctp,
+}
+
+impl MsgTransport {
+    /// Binds a socket on `port`.
+    pub fn bind(self, port: Port) -> Syscall {
+        match self {
+            MsgTransport::Udp => Syscall::UdpBind { port },
+            MsgTransport::Sctp => Syscall::SctpBind { port },
+        }
+    }
+
+    /// Sends one whole message to `to`.
+    pub fn send(self, fd: Fd, to: SockAddr, data: Bytes) -> Syscall {
+        match self {
+            MsgTransport::Udp => Syscall::UdpSend { fd, to, data },
+            MsgTransport::Sctp => Syscall::SctpSend { fd, to, data },
+        }
+    }
+
+    /// Receives one whole message, blocking until one arrives.
+    pub fn recv(self, fd: Fd) -> Syscall {
+        match self {
+            MsgTransport::Udp => Syscall::UdpRecv { fd },
+            MsgTransport::Sctp => Syscall::SctpRecv { fd },
+        }
+    }
+}
+
 /// The completion value delivered to [`crate::process::Process::resume`].
 #[derive(Debug, Clone)]
 pub enum SysResult {
@@ -270,6 +308,17 @@ impl SysResult {
     pub fn is_err(&self) -> bool {
         matches!(self, SysResult::Err(_))
     }
+
+    /// Takes a received UDP datagram or SCTP message as `(from, data)`;
+    /// `None` for any other result.
+    pub fn into_msg(self) -> Option<(SockAddr, Bytes)> {
+        match self {
+            SysResult::Datagram { from, data } | SysResult::SctpMsg { from, data } => {
+                Some((from, data))
+            }
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -301,6 +350,44 @@ mod tests {
     #[should_panic(expected = "expected fd result")]
     fn expect_fd_panics_on_other() {
         SysResult::Done.expect_fd();
+    }
+
+    #[test]
+    fn msg_transport_selects_the_variant() {
+        let to = SockAddr::new(siperf_simnet::HostId(0), 5060);
+        let data: Bytes = siperf_simnet::endpoint::bytes_from(b"x".to_vec());
+        assert!(matches!(
+            MsgTransport::Udp.bind(1),
+            Syscall::UdpBind { port: 1 }
+        ));
+        assert!(matches!(
+            MsgTransport::Sctp.bind(1),
+            Syscall::SctpBind { port: 1 }
+        ));
+        assert!(matches!(
+            MsgTransport::Udp.send(Fd(1), to, data.clone()),
+            Syscall::UdpSend { .. }
+        ));
+        assert!(matches!(
+            MsgTransport::Sctp.send(Fd(1), to, data.clone()),
+            Syscall::SctpSend { .. }
+        ));
+        assert!(matches!(
+            MsgTransport::Udp.recv(Fd(2)),
+            Syscall::UdpRecv { fd: Fd(2) }
+        ));
+        assert!(matches!(
+            MsgTransport::Sctp.recv(Fd(2)),
+            Syscall::SctpRecv { fd: Fd(2) }
+        ));
+        let sctp = SysResult::SctpMsg {
+            from: to,
+            data: data.clone(),
+        };
+        assert_eq!(sctp.into_msg().map(|(from, _)| from), Some(to));
+        let udp = SysResult::Datagram { from: to, data };
+        assert!(udp.into_msg().is_some());
+        assert!(SysResult::Done.into_msg().is_none());
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! methodology as code: thousands of simulated SIP phones across three
 //! client machines, a registration phase, then closed-loop calls through
 //! the proxy with throughput measured as operations (SIP transactions) per
-//! second over the measured phase only.
+//! second over the measured phase only. Open-loop Poisson callers, which
+//! offer load regardless of outstanding calls, give the overload
+//! literature's goodput-vs-offered-load curves.
 //!
-//! * [`phone`] — the transport-independent caller engine and callee logic.
-//! * [`phone_msg`] — UDP/SCTP phone processes.
-//! * [`phone_tcp`] — TCP phone processes with listen sockets, never-closed
-//!   connections, and the 50/500 ops-per-connection reconnect policies.
-//! * [`open_loop`] — open-loop Poisson callers that offer load regardless
-//!   of outstanding calls (the x-axis of goodput-vs-offered-load curves).
+//! * [`phone`] — the transport-independent caller engine (closed- or
+//!   open-loop [`phone::Arrivals`]) and callee logic.
+//! * [`phone_msg`] — the UDP/SCTP phone process (callers and callees).
+//! * [`phone_tcp`] — the TCP phone process with a listen socket,
+//!   never-closed connections, the 50/500 ops-per-connection reconnect
+//!   policies and reconnect-and-redrive after a reset.
 //! * [`scenario`] — world construction, execution, and the full
 //!   [`scenario::ScenarioReport`].
 //! * [`experiments`] — the paper's grid: Figures 3–5 cells, the §4.3
@@ -37,7 +39,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-pub mod open_loop;
 pub mod phone;
 pub mod phone_msg;
 pub mod phone_tcp;

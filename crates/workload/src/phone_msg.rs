@@ -1,32 +1,23 @@
 //! Phone process for message-oriented transports (UDP and SCTP).
 //!
 //! One simulated process per phone: bind the phone's fixed port, register,
-//! then either drive calls ([`Role::Caller`]) or answer them
-//! ([`Role::Callee`]). Responses are sent to the topmost Via's sent-by, as
-//! RFC 3261 §18.2.2 prescribes for datagram transports.
+//! then either drive calls ([`Role::Caller`], closed or open loop) or answer
+//! them ([`Role::Callee`]). Responses are sent to the topmost Via's sent-by,
+//! as RFC 3261 §18.2.2 prescribes for datagram transports.
 
 use std::collections::VecDeque;
 
 use siperf_proxy::util::parse_sim_addr;
-use siperf_simcore::time::{SimDuration, SimTime};
+use siperf_simcore::time::SimTime;
 use siperf_simnet::addr::SockAddr;
 use siperf_simnet::endpoint::Bytes;
 use siperf_simos::process::{Process, ResumeCtx};
-use siperf_simos::syscall::{Fd, SysResult, Syscall};
+use siperf_simos::syscall::{Fd, MsgTransport, SysResult, Syscall};
 use siperf_sip::msg::Method;
 use siperf_sip::parse::parse_message;
 use siperf_sip::txn::{RetransClock, TimerVerdict};
 
-use crate::phone::{callee_answer_timed, CallEngine, EngineAction, PhoneCfg, Role};
-
-/// Which message-oriented transport the phone speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgTransport {
-    /// Plain datagrams.
-    Udp,
-    /// Kernel-managed associations.
-    Sctp,
-}
+use crate::phone::{callee_answer_timed, CallEngine, PhoneCfg, Role};
 
 // The shared postfix is the point: each variant names which poll loop the
 // process resumes into.
@@ -48,7 +39,7 @@ enum Phase {
     SleepingToStart,
 }
 
-/// A UDP/SCTP phone process.
+/// A UDP/SCTP phone process (caller or callee).
 pub struct MsgPhone {
     cfg: PhoneCfg,
     mt: MsgTransport,
@@ -64,7 +55,16 @@ pub struct MsgPhone {
 
 impl MsgPhone {
     /// Creates the phone process.
-    pub fn new(cfg: PhoneCfg, mt: MsgTransport) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured transport is TCP (see
+    /// [`crate::phone_tcp::TcpPhone`]).
+    pub fn new(cfg: PhoneCfg) -> Self {
+        let mt = cfg
+            .transport
+            .msg_transport()
+            .expect("MsgPhone speaks UDP or SCTP");
         MsgPhone {
             cfg,
             mt,
@@ -78,28 +78,6 @@ impl MsgPhone {
         }
     }
 
-    fn send_syscall(&self, to: SockAddr, data: Bytes) -> Syscall {
-        match self.mt {
-            MsgTransport::Udp => Syscall::UdpSend {
-                fd: self.fd,
-                to,
-                data,
-            },
-            MsgTransport::Sctp => Syscall::SctpSend {
-                fd: self.fd,
-                to,
-                data,
-            },
-        }
-    }
-
-    fn recv_syscall(&self) -> Syscall {
-        match self.mt {
-            MsgTransport::Udp => Syscall::UdpRecv { fd: self.fd },
-            MsgTransport::Sctp => Syscall::SctpRecv { fd: self.fd },
-        }
-    }
-
     fn poll_for(&self, cont: Cont, now: SimTime) -> Syscall {
         let timeout = match cont {
             Cont::RegPoll => {
@@ -108,11 +86,7 @@ impl MsgPhone {
             }
             Cont::CallPoll => {
                 let next = self.engine.as_ref().expect("caller").next_wake();
-                if next == SimTime::MAX {
-                    None
-                } else {
-                    Some(next.max(now) - now)
-                }
+                (next != SimTime::MAX).then(|| next.max(now) - now)
             }
             Cont::ServePoll => self.delayed.front().map(|&(at, _, _)| at.max(now) - now),
         };
@@ -129,8 +103,7 @@ impl MsgPhone {
                 break;
             }
             let (_, _, bytes) = self.delayed.pop_front().expect("peeked");
-            let s = self.send_syscall(dest, bytes);
-            self.script.push_back(s);
+            self.script.push_back(self.mt.send(self.fd, dest, bytes));
         }
     }
 
@@ -147,19 +120,21 @@ impl MsgPhone {
 
     fn queue_sends(&mut self, to: SockAddr, msgs: Vec<Bytes>) {
         for m in msgs {
-            let s = self.send_syscall(to, m);
-            self.script.push_back(s);
+            self.script.push_back(self.mt.send(self.fd, to, m));
         }
     }
 
-    fn handle_engine_action(&mut self, action: EngineAction, now: SimTime) -> Syscall {
-        if let EngineAction::Send(msgs) = action {
-            self.queue_sends(self.cfg.proxy, msgs);
-        }
+    /// Sends the engine's output to the proxy and parks in the call loop.
+    fn send_calls(&mut self, msgs: Vec<Bytes>, now: SimTime) -> Syscall {
+        self.queue_sends(self.cfg.proxy, msgs);
         self.park(Cont::CallPoll, now)
     }
 
-    /// Handles one inbound datagram according to role/phase.
+    fn engine(&mut self) -> &mut CallEngine {
+        self.engine.as_mut().expect("caller engine")
+    }
+
+    /// Handles one inbound message according to role/phase.
     fn handle_message(&mut self, now: SimTime, from: SockAddr, data: Bytes, cont: Cont) -> Syscall {
         self.script.push_back(Syscall::Compute {
             ns: self.cfg.proc_ns.max(10),
@@ -176,7 +151,7 @@ impl MsgPhone {
                     self.cfg.stats.borrow_mut().register_ok += 1;
                     self.reg_clock = None;
                     match self.cfg.role {
-                        Role::Caller => {
+                        Role::Caller(_) => {
                             self.phase = Phase::SleepingToStart;
                             return Syscall::SleepUntil(self.cfg.call_start);
                         }
@@ -186,12 +161,8 @@ impl MsgPhone {
                 self.park(Cont::RegPoll, now)
             }
             Cont::CallPoll => {
-                let action = self
-                    .engine
-                    .as_mut()
-                    .expect("caller engine")
-                    .on_response(now, &msg);
-                self.handle_engine_action(action, now)
+                let msgs = self.engine().on_response(now, &msg);
+                self.send_calls(msgs, now)
             }
             Cont::ServePoll => {
                 let answer = callee_answer_timed(&self.cfg.user, &msg, self.cfg.ring_delay);
@@ -217,25 +188,18 @@ impl Process for MsgPhone {
         match std::mem::replace(&mut self.phase, Phase::Start) {
             Phase::Start => {
                 self.phase = Phase::Bound;
-                match self.mt {
-                    MsgTransport::Udp => Syscall::UdpBind {
-                        port: self.cfg.port,
-                    },
-                    MsgTransport::Sctp => Syscall::SctpBind {
-                        port: self.cfg.port,
-                    },
-                }
+                self.mt.bind(self.cfg.port)
             }
             Phase::Bound => {
                 self.fd = last.expect_fd();
-                self.engine = Some(CallEngine::new(&self.cfg, ctx.host));
+                self.engine = self.cfg.engine(ctx.host);
                 self.reg_msg = Some(self.cfg.register_msg(ctx.host));
                 self.phase = Phase::Staggered;
                 Syscall::Sleep(self.cfg.stagger)
             }
             Phase::Staggered => {
                 // Register (with a non-INVITE retransmission clock on UDP).
-                let clock = if self.cfg.reliable {
+                let clock = if self.cfg.transport.is_reliable() {
                     RetransClock::reliable(ctx.now)
                 } else {
                     RetransClock::new(ctx.now, Method::Register)
@@ -245,19 +209,16 @@ impl Process for MsgPhone {
                 self.queue_sends(self.cfg.proxy, vec![msg]);
                 self.park(Cont::RegPoll, ctx.now)
             }
+            // Calls start on the arrival clock: the closed loop's first call
+            // is due at `call_start`, the open loop fires whatever is due.
             Phase::SleepingToStart => {
-                let invite = self
-                    .engine
-                    .as_mut()
-                    .expect("caller engine")
-                    .start_call(ctx.now);
-                self.queue_sends(self.cfg.proxy, vec![invite]);
-                self.park(Cont::CallPoll, ctx.now)
+                let msgs = self.engine().on_timer(ctx.now);
+                self.send_calls(msgs, ctx.now)
             }
             Phase::Polling(cont) => match last {
                 SysResult::Ready(_) => {
                     self.phase = Phase::Receiving(cont);
-                    self.recv_syscall()
+                    self.mt.recv(self.fd)
                 }
                 SysResult::TimedOut => match cont {
                     Cont::RegPoll => {
@@ -279,24 +240,17 @@ impl Process for MsgPhone {
                         }
                     }
                     Cont::CallPoll => {
-                        let action = self
-                            .engine
-                            .as_mut()
-                            .expect("caller engine")
-                            .on_timer(ctx.now);
-                        self.handle_engine_action(action, ctx.now)
+                        let msgs = self.engine().on_timer(ctx.now);
+                        self.send_calls(msgs, ctx.now)
                     }
                     Cont::ServePoll => self.park(Cont::ServePoll, ctx.now),
                 },
                 other => panic!("phone poll got {other:?}"),
             },
-            Phase::Receiving(cont) => match last {
-                SysResult::Datagram { from, data } => {
-                    self.handle_message(ctx.now, from, data, cont)
-                }
-                SysResult::SctpMsg { from, data } => self.handle_message(ctx.now, from, data, cont),
-                other => panic!("phone recv got {other:?}"),
-            },
+            Phase::Receiving(cont) => {
+                let (from, data) = last.into_msg().expect("phone recv returns a message");
+                self.handle_message(ctx.now, from, data, cont)
+            }
             Phase::Script(cont) => {
                 if let SysResult::Err(_) = last {
                     self.cfg.stats.borrow_mut().connect_errors += 1;
@@ -305,10 +259,4 @@ impl Process for MsgPhone {
             }
         }
     }
-}
-
-/// A small helper so scenario code can build send/receive deadlines without
-/// underflow when the wake time is already past.
-pub(crate) fn _deadline_after(now: SimTime, next: SimTime) -> SimDuration {
-    next.max(now) - now
 }

@@ -18,10 +18,10 @@ use siperf_simnet::addr::{HostId, SockAddr};
 use siperf_simnet::{NetConfig, NetStats};
 use siperf_simos::cost::CostModel;
 use siperf_simos::kernel::{Kernel, KernelStats};
+use siperf_simos::process::Process;
 
-use crate::open_loop::{OpenLoopCfg, OpenLoopMsgPhone, OpenLoopTcpPhone};
-use crate::phone::{PhoneCfg, Role};
-use crate::phone_msg::{MsgPhone, MsgTransport};
+use crate::phone::{Arrivals, PhoneCfg, Role};
+use crate::phone_msg::MsgPhone;
 use crate::phone_tcp::TcpPhone;
 use crate::stats::WorkloadStats;
 
@@ -58,10 +58,9 @@ pub struct Scenario {
     /// `Some(rate)`, [`Scenario::pairs`] counts callees only and arrivals
     /// keep coming regardless of how many calls are outstanding.
     pub arrival_rate: Option<f64>,
-    /// Setup-delay budget for open-loop calls: a call whose INVITE
-    /// transaction takes longer completes but scores no goodput, the way
-    /// the overload literature counts sessions established past their
-    /// deadline. Ignored in closed-loop mode.
+    /// Setup-delay budget: a call whose INVITE transaction takes longer
+    /// completes but scores no goodput, the way the overload literature
+    /// counts sessions established past their deadline.
     pub setup_deadline: Option<SimDuration>,
     /// RNG seed; identical seeds replay identically.
     pub seed: u64,
@@ -153,114 +152,73 @@ impl Scenario {
         let transport = self.proxy.transport;
         let call_start = SimTime::ZERO + self.call_start;
 
+        let template = PhoneCfg {
+            user: String::new(),
+            role: Role::Callee,
+            port: 0,
+            proxy: proxy.addr,
+            domain: "sip.lab".into(),
+            transport,
+            call_start,
+            stagger: SimDuration::ZERO,
+            ops_per_conn: self.ops_per_conn,
+            cancel_every: self.cancel_every,
+            ring_delay: self.ring_delay,
+            setup_deadline: self.setup_deadline,
+            proc_ns: self.phone_proc_ns,
+            seed: 0,
+            stats: stats.clone(),
+        };
+        let mut spawn = |host: HostId, name: String, cfg: PhoneCfg| {
+            let process: Box<dyn Process> = match transport {
+                Transport::Udp | Transport::Sctp => Box::new(MsgPhone::new(cfg)),
+                Transport::Tcp => Box::new(TcpPhone::new(cfg)),
+            };
+            kernel.spawn(host, Default::default(), name, process);
+        };
+
         // Closed loop: caller/callee pairs. Open loop: `pairs` callees plus
         // one Poisson caller per client host; each pooled caller dials the
         // callees uniformly.
-        let spawn_sets: Vec<(usize, Role)> = if self.arrival_rate.is_some() {
-            (0..self.pairs).map(|i| (i, Role::Callee)).collect()
-        } else {
-            (0..self.pairs)
-                .flat_map(|i| [(2 * i, Role::Caller), (2 * i + 1, Role::Callee)])
-                .collect()
-        };
-        for (idx, role) in spawn_sets {
-            let i = if self.arrival_rate.is_some() {
-                idx
+        let per_pair = if self.arrival_rate.is_some() { 1 } else { 2 };
+        for idx in 0..self.pairs * per_pair {
+            let i = idx / per_pair;
+            let (user, role) = if per_pair == 2 && idx % 2 == 0 {
+                let peer = format!("e{i}");
+                (format!("c{i}"), Role::Caller(Arrivals::Closed { peer }))
             } else {
-                idx / 2
-            };
-            let host = clients[idx % clients.len()];
-            let (user, peer_user) = match role {
-                Role::Caller => (format!("c{i}"), format!("e{i}")),
-                Role::Callee => (format!("e{i}"), String::new()),
+                (format!("e{i}"), Role::Callee)
             };
             let cfg = PhoneCfg {
-                user: user.clone(),
-                peer_user,
+                user,
                 role,
                 port: 20_000 + idx as u16,
-                proxy: proxy.addr,
-                domain: "sip.lab".into(),
-                transport: transport.token(),
-                reliable: transport.is_reliable(),
                 call_start: call_start + SimDuration::from_nanos(rng.range_u64(0..20_000_000)),
                 stagger: SimDuration::from_nanos(rng.range_u64(1..500_000_000)),
-                ops_per_conn: self.ops_per_conn,
-                cancel_every: self.cancel_every,
-                ring_delay: self.ring_delay,
-                proc_ns: self.phone_proc_ns,
-                jitter_seed: rng.next_u64(),
-                stats: stats.clone(),
+                seed: rng.next_u64(),
+                ..template.clone()
             };
-            let name = format!("phone_{user}");
-            match transport {
-                Transport::Udp => {
-                    kernel.spawn(
-                        host,
-                        Default::default(),
-                        name,
-                        Box::new(MsgPhone::new(cfg, MsgTransport::Udp)),
-                    );
-                }
-                Transport::Sctp => {
-                    kernel.spawn(
-                        host,
-                        Default::default(),
-                        name,
-                        Box::new(MsgPhone::new(cfg, MsgTransport::Sctp)),
-                    );
-                }
-                Transport::Tcp => {
-                    kernel.spawn(host, Default::default(), name, Box::new(TcpPhone::new(cfg)));
-                }
-            }
+            spawn(
+                clients[idx % clients.len()],
+                format!("phone_{}", cfg.user),
+                cfg,
+            );
         }
-
         if let Some(rate) = self.arrival_rate {
             for (h, &host) in clients.iter().enumerate() {
-                let cfg = OpenLoopCfg {
-                    user: format!("o{h}"),
+                let arrivals = Arrivals::Poisson {
+                    rate: rate / clients.len() as f64,
                     callees: self.pairs,
-                    port: 30_000 + h as u16,
-                    proxy: proxy.addr,
-                    domain: "sip.lab".into(),
-                    transport: transport.token(),
-                    reliable: transport.is_reliable(),
-                    call_start,
-                    stagger: SimDuration::from_nanos(rng.range_u64(1..500_000_000)),
-                    arrival_rate: rate / clients.len() as f64,
-                    setup_deadline: self.setup_deadline,
-                    proc_ns: self.phone_proc_ns,
-                    seed: rng.next_u64(),
-                    stats: stats.clone(),
                 };
-                let name = format!("caller_o{h}");
-                match transport {
-                    Transport::Udp => {
-                        kernel.spawn(
-                            host,
-                            Default::default(),
-                            name,
-                            Box::new(OpenLoopMsgPhone::new(cfg, MsgTransport::Udp)),
-                        );
-                    }
-                    Transport::Sctp => {
-                        kernel.spawn(
-                            host,
-                            Default::default(),
-                            name,
-                            Box::new(OpenLoopMsgPhone::new(cfg, MsgTransport::Sctp)),
-                        );
-                    }
-                    Transport::Tcp => {
-                        kernel.spawn(
-                            host,
-                            Default::default(),
-                            name,
-                            Box::new(OpenLoopTcpPhone::new(cfg)),
-                        );
-                    }
-                }
+                let cfg = PhoneCfg {
+                    user: format!("o{h}"),
+                    role: Role::Caller(arrivals),
+                    port: 30_000 + h as u16,
+                    stagger: SimDuration::from_nanos(rng.range_u64(1..500_000_000)),
+                    seed: rng.next_u64(),
+                    ..template.clone()
+                };
+                spawn(host, format!("caller_o{h}"), cfg);
             }
         }
 
@@ -279,14 +237,12 @@ impl Scenario {
     /// meaningful wall-clock duration. No live `Instant` is stored in the
     /// world or the report, keeping reports comparable across runs.
     pub fn report(&self, world: &World) -> ScenarioReport {
-        let window = self.window();
         let kernel = &world.kernel;
         let proxy = &world.proxy;
         let server = world.server;
         let w = world.stats.borrow();
         let busy = kernel.host_busy_ns(server);
         let wall = kernel.now().as_secs_f64().max(1e-9);
-        let _ = window;
         let lock_contention = {
             let l = &proxy.locks;
             [l.txn, l.usrloc, l.timer, l.conn]
@@ -481,8 +437,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the open-loop setup-delay budget: calls whose INVITE
-    /// transaction exceeds it complete but count as zero goodput.
+    /// Sets the setup-delay budget: calls whose INVITE transaction exceeds
+    /// it complete but count as zero goodput.
     pub fn setup_deadline(mut self, budget: SimDuration) -> Self {
         self.scenario.setup_deadline = Some(budget);
         self
