@@ -130,6 +130,16 @@ impl AppCostModel {
     pub fn parse_cost(&self, len: usize) -> u64 {
         self.parse_base + self.parse_per_byte * len as u64
     }
+
+    /// CPU for one idle hunt that examined `examined` entries: a linear
+    /// walk (at least one entry, at least `base`), or `base` plus one pop
+    /// per priority-queue entry.
+    pub fn idle_hunt(&self, strategy: IdleStrategy, examined: u64, base: u64) -> u64 {
+        match strategy {
+            IdleStrategy::LinearScan => (self.idle_scan_entry * examined.max(1)).max(base),
+            IdleStrategy::PriorityQueue => self.pq_pop * examined + base,
+        }
+    }
 }
 
 impl Default for AppCostModel {

@@ -12,13 +12,19 @@
 //! mutation happens a few virtual microseconds earlier than the lock
 //! window it is charged under.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
+use siperf_simcore::time::SimTime;
+use siperf_simnet::addr::SockAddr;
 use siperf_simos::lock::LockId;
 use siperf_simos::syscall::Syscall;
+use siperf_sip::parse::parse_message;
 
-use crate::config::{AppCostModel, Transport};
-use crate::core::Plan;
+use crate::config::{AppCostModel, ProxyConfig, Transport};
+use crate::conn::{ConnTable, IdleHunt};
+use crate::core::{FastAdmission, Outgoing, Plan, ProxyCore};
 
 /// The proxy's shared-memory locks, created once at spawn time.
 #[derive(Debug, Clone, Copy)]
@@ -62,6 +68,107 @@ pub mod tags {
     pub const FD_CACHE: &str = "user/fd_cache_lookup";
 }
 
+/// What every proxy process shares: the routing engine, the connection
+/// table, the configuration and the locks.
+#[derive(Clone)]
+pub struct Shared {
+    /// Routing engine + stats.
+    pub core: Rc<RefCell<ProxyCore>>,
+    /// The shared TCP connection table (unused under UDP/SCTP).
+    pub conns: Rc<RefCell<ConnTable>>,
+    /// Proxy configuration.
+    pub cfg: Rc<ProxyConfig>,
+    /// The shared-memory locks.
+    pub locks: Locks,
+}
+
+impl Shared {
+    /// Serves one received message: parse it, give the overload policy its
+    /// shed fast path, otherwise route it, and script the CPU and locks the
+    /// work costs. Returns the messages to send.
+    ///
+    /// `backlog` is `(worker, depth)` for workers that hold framed but
+    /// unrouted messages the transaction table cannot see; it is reported
+    /// before routing so admission decisions use the worker's fresh depth.
+    pub fn serve(
+        &self,
+        script: &mut VecDeque<Syscall>,
+        backlog: Option<(usize, usize)>,
+        now: SimTime,
+        raw: &[u8],
+        src: SockAddr,
+    ) -> Vec<Outgoing> {
+        let costs = &self.cfg.app_costs;
+        let parse_ns = costs.parse_cost(raw.len());
+        let Ok(msg) = parse_message(raw) else {
+            self.core.borrow_mut().stats.parse_errors += 1;
+            script.push_back(Syscall::Compute {
+                ns: parse_ns,
+                tag: tags::PARSE,
+            });
+            return Vec::new();
+        };
+        let was_request = msg.is_request();
+        let mut core = self.core.borrow_mut();
+        if let Some((worker, depth)) = backlog {
+            core.note_worker_backlog(worker, depth);
+        }
+        if let FastAdmission::Shed(plan) = core.fast_admission(now, &msg, src) {
+            // Shed fast path: the request line alone identified a refusable
+            // INVITE, so skip the parse/route/build pipeline and charge only
+            // the sniff + canned 503.
+            script.push_back(Syscall::Compute {
+                ns: costs.shed_fast,
+                tag: tags::SHED_FAST,
+            });
+            return plan.out;
+        }
+        let plan = core.handle_message(now, msg, src);
+        drop(core);
+        routing_script(
+            script,
+            costs,
+            &self.locks,
+            self.cfg.transport,
+            parse_ns,
+            was_request,
+            &plan,
+        );
+        plan.out
+    }
+
+    /// Scripts one connection-table operation under the table lock.
+    pub fn table_op(&self, script: &mut VecDeque<Syscall>) {
+        locked(
+            script,
+            self.locks.conn,
+            self.cfg.app_costs.conn_table_op,
+            tags::CONN_HASH,
+        );
+    }
+
+    /// Hunts the shared table for idle connections and scripts the hunt's
+    /// cost. The whole hunt runs under the connection-table lock (§5.2: "a
+    /// lock is held on the shared hash table throughout").
+    pub fn hunt(&self, script: &mut VecDeque<Syscall>, now: SimTime) -> IdleHunt {
+        let hunt = self.conns.borrow_mut().hunt(now, self.cfg.idle_timeout);
+        self.core.borrow_mut().stats.idle_scan_entries += hunt.examined;
+        let ns = self
+            .cfg
+            .app_costs
+            .idle_hunt(self.cfg.idle_strategy, hunt.examined, 400);
+        locked(script, self.locks.conn, ns, tags::IDLE);
+        hunt
+    }
+}
+
+/// Scripts `ns` of CPU charged to `tag` while holding `lock`.
+pub fn locked(script: &mut VecDeque<Syscall>, lock: LockId, ns: u64, tag: &'static str) {
+    script.push_back(Syscall::LockAcquire { lock });
+    script.push_back(Syscall::Compute { ns, tag });
+    script.push_back(Syscall::LockRelease { lock });
+}
+
 /// Builds the lock/compute script that charges a routed message's
 /// transaction-table and location-service work, shared by every transport.
 ///
@@ -79,23 +186,14 @@ pub fn routing_script(
         ns: parse_ns,
         tag: tags::PARSE,
     });
-    script.push_back(Syscall::LockAcquire { lock: locks.txn });
-    script.push_back(Syscall::Compute {
-        ns: if was_request {
-            costs.route_request
-        } else {
-            costs.route_response
-        },
-        tag: tags::ROUTE,
-    });
-    script.push_back(Syscall::LockRelease { lock: locks.txn });
+    let route_ns = if was_request {
+        costs.route_request
+    } else {
+        costs.route_response
+    };
+    locked(script, locks.txn, route_ns, tags::ROUTE);
     if was_request && !plan.absorbed {
-        script.push_back(Syscall::LockAcquire { lock: locks.usrloc });
-        script.push_back(Syscall::Compute {
-            ns: costs.usrloc_lookup,
-            tag: tags::USRLOC,
-        });
-        script.push_back(Syscall::LockRelease { lock: locks.usrloc });
+        locked(script, locks.usrloc, costs.usrloc_lookup, tags::USRLOC);
     }
     // Building each outgoing message is charged here; putting it on the
     // wire is transport-specific.
@@ -107,12 +205,7 @@ pub fn routing_script(
     }
     if plan.txn_created && !transport.is_reliable() {
         // UDP: arm the retransmission timer on the shared list (§3.2).
-        script.push_back(Syscall::LockAcquire { lock: locks.timer });
-        script.push_back(Syscall::Compute {
-            ns: costs.timer_insert,
-            tag: tags::TIMER_INSERT,
-        });
-        script.push_back(Syscall::LockRelease { lock: locks.timer });
+        locked(script, locks.timer, costs.timer_insert, tags::TIMER_INSERT);
     }
 }
 

@@ -27,14 +27,12 @@ use siperf_simnet::addr::SockAddr;
 use siperf_simos::ipc::{ChanId, Side};
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, IpcMsg, SysResult, Syscall};
-use siperf_sip::framer::StreamFramer;
-use siperf_sip::parse::parse_message;
 
-use crate::config::ProxyConfig;
-use crate::config::{IdleStrategy, Transport};
-use crate::conn::{ConnId, ConnTable};
-use crate::core::{FastAdmission, Outgoing, ProxyCore};
-use crate::plumbing::{decode_addr, encode_addr, routing_script, tags, Locks};
+use crate::config::IdleStrategy;
+use crate::conn::ConnId;
+use crate::core::Outgoing;
+use crate::plumbing::{decode_addr, encode_addr, locked, tags, Shared};
+use crate::stream::{Io, Next, Streams};
 
 /// Supervisor → worker: a new connection with its descriptor.
 pub const MSG_NEW_CONN: u32 = 1;
@@ -49,8 +47,6 @@ pub const MSG_CONN_DEAD: u32 = 5;
 /// Worker → supervisor: a worker-opened outbound connection (with fd).
 pub const MSG_NEW_OUTBOUND: u32 = 6;
 
-const RECV_CHUNK: usize = 16 * 1024;
-
 /// Out-of-band notifications from the spawner's fault-injection path to the
 /// supervisor, delivered through shared memory (the supervisor observes
 /// `SIGCHLD`-style events on its next loop pass).
@@ -61,41 +57,8 @@ pub enum SupervisorCtl {
     WorkerRespawned(usize),
 }
 
-/// Everything a TCP-side process needs a handle on.
-#[derive(Clone)]
-pub struct TcpShared {
-    /// Routing engine + stats.
-    pub core: Rc<RefCell<ProxyCore>>,
-    /// The shared connection table.
-    pub conns: Rc<RefCell<ConnTable>>,
-    /// Proxy configuration.
-    pub cfg: Rc<ProxyConfig>,
-    /// The shared-memory locks.
-    pub locks: Locks,
-    /// Crash/respawn notifications for the supervisor.
-    pub ctl: Rc<RefCell<VecDeque<SupervisorCtl>>>,
-}
-
-impl TcpShared {
-    fn idle_timeout(&self) -> SimDuration {
-        self.cfg.idle_timeout
-    }
-
-    /// Pushes the lock/compute/unlock triple for one connection-table
-    /// operation.
-    fn conn_table_script(&self, script: &mut VecDeque<Syscall>, extra_ns: u64, tag: &'static str) {
-        script.push_back(Syscall::LockAcquire {
-            lock: self.locks.conn,
-        });
-        script.push_back(Syscall::Compute {
-            ns: self.cfg.app_costs.conn_table_op + extra_ns,
-            tag,
-        });
-        script.push_back(Syscall::LockRelease {
-            lock: self.locks.conn,
-        });
-    }
-}
+/// The supervisor's crash/respawn notification queue.
+pub type CtlQueue = Rc<RefCell<VecDeque<SupervisorCtl>>>;
 
 // ===================================================================
 // Supervisor
@@ -119,7 +82,8 @@ enum SupReady {
 
 /// The connection-management supervisor process (OpenSER's `tcp_main`).
 pub struct Supervisor {
-    shared: TcpShared,
+    shared: Shared,
+    ctl: CtlQueue,
     assign_chans: Vec<ChanId>,
     req_chans: Vec<ChanId>,
     assign_fds: Vec<Fd>,
@@ -140,10 +104,16 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// Creates the supervisor; channels are created by the spawner.
-    pub fn new(shared: TcpShared, assign_chans: Vec<ChanId>, req_chans: Vec<ChanId>) -> Self {
+    pub fn new(
+        shared: Shared,
+        ctl: CtlQueue,
+        assign_chans: Vec<ChanId>,
+        req_chans: Vec<ChanId>,
+    ) -> Self {
         assert_eq!(assign_chans.len(), req_chans.len());
         Supervisor {
             shared,
+            ctl,
             assign_chans,
             req_chans,
             assign_fds: Vec::new(),
@@ -167,7 +137,7 @@ impl Supervisor {
     }
 
     fn handle_accept(&mut self, now: SimTime, fd: Fd, peer: SockAddr) {
-        let timeout = self.shared.idle_timeout();
+        let timeout = self.shared.cfg.idle_timeout;
         let worker = self.rr % self.workers();
         self.rr += 1;
         let id = self
@@ -177,8 +147,7 @@ impl Supervisor {
             .insert(now, peer, worker, timeout);
         self.fd_of_conn.insert(id.0, fd);
         self.shared.core.borrow_mut().stats.conns_assigned += 1;
-        self.shared
-            .conn_table_script(&mut self.script, 0, tags::CONN_HASH);
+        self.shared.table_op(&mut self.script);
         // Assign ownership: pass our descriptor (the kernel dups it; we
         // keep our copy, as OpenSER does). This send BLOCKS when the
         // worker's queue is full — the §6 deadlock ingredient.
@@ -192,8 +161,7 @@ impl Supervisor {
         match msg.kind {
             MSG_FD_REQ => {
                 let conn = msg.a;
-                self.shared
-                    .conn_table_script(&mut self.script, 0, tags::CONN_HASH);
+                self.shared.table_op(&mut self.script);
                 let reply = match self.fd_of_conn.get(&conn) {
                     Some(&fd) => IpcMsg::with_fd(MSG_FD_RESP, conn, 1, fd),
                     None => IpcMsg::new(MSG_FD_RESP, conn, 0),
@@ -204,17 +172,17 @@ impl Supervisor {
                 });
             }
             MSG_CONN_RETURN => {
-                let timeout = self.shared.idle_timeout();
+                let timeout = self.shared.cfg.idle_timeout;
                 self.shared
                     .conns
                     .borrow_mut()
                     .mark_returned(ConnId(msg.a), now, timeout);
                 self.shared.core.borrow_mut().stats.conns_returned += 1;
-                self.shared
-                    .conn_table_script(&mut self.script, 0, tags::CONN_HASH);
+                self.shared.table_op(&mut self.script);
             }
             MSG_CONN_DEAD => {
-                self.destroy_conn(msg.a);
+                self.shared.table_op(&mut self.script);
+                self.destroy(ConnId(msg.a));
             }
             MSG_NEW_OUTBOUND => {
                 // Object was inserted by the worker; we keep the passed
@@ -239,81 +207,34 @@ impl Supervisor {
                 Some(obj) => obj.peer,
                 None => continue,
             };
+            self.shared.table_op(&mut self.script);
             match self.fd_of_conn.get(&id.0).copied() {
                 Some(fd) => {
                     self.shared.core.borrow_mut().stats.conns_reassigned += 1;
-                    self.shared
-                        .conn_table_script(&mut self.script, 0, tags::CONN_HASH);
                     self.script.push_back(Syscall::IpcSend {
                         fd: self.assign_fds[worker],
                         msg: IpcMsg::with_fd(MSG_NEW_CONN, id.0, encode_addr(peer), fd),
                     });
                 }
-                None => self.destroy_conn(id.0),
+                None => self.destroy(id),
             }
         }
     }
 
-    fn destroy_conn(&mut self, conn: u64) {
-        self.shared.conns.borrow_mut().remove(ConnId(conn));
-        self.shared
-            .conn_table_script(&mut self.script, 0, tags::CONN_HASH);
-        if let Some(fd) = self.fd_of_conn.remove(&conn) {
+    /// Destroys a connection object and closes the supervisor's descriptor.
+    fn destroy(&mut self, id: ConnId) {
+        self.shared.conns.borrow_mut().remove(id);
+        if let Some(fd) = self.fd_of_conn.remove(&id.0) {
             self.script.push_back(Syscall::Close { fd });
         }
         self.shared.core.borrow_mut().stats.conns_destroyed += 1;
-    }
-
-    fn idle_pass(&mut self, now: SimTime) {
-        let timeout = self.shared.idle_timeout();
-        let costs = &self.shared.cfg.app_costs;
-        let (hunt, cost) = {
-            let mut conns = self.shared.conns.borrow_mut();
-            match self.shared.cfg.idle_strategy {
-                IdleStrategy::LinearScan => {
-                    let hunt = conns.hunt_linear(now, timeout);
-                    let cost = costs.idle_scan_entry * hunt.examined.max(1);
-                    (hunt, cost)
-                }
-                IdleStrategy::PriorityQueue => {
-                    let hunt = conns.hunt_priority_queue(now, timeout);
-                    let cost = costs.pq_pop * hunt.examined + 400;
-                    (hunt, cost)
-                }
-            }
-        };
-        {
-            let mut core = self.shared.core.borrow_mut();
-            core.stats.idle_scan_entries += hunt.examined;
-        }
-        // The whole hunt runs under the connection-table lock (§5.2: "a
-        // lock is held on the shared hash table throughout").
-        self.script.push_back(Syscall::LockAcquire {
-            lock: self.shared.locks.conn,
-        });
-        self.script.push_back(Syscall::Compute {
-            ns: cost.max(400),
-            tag: tags::IDLE,
-        });
-        self.script.push_back(Syscall::LockRelease {
-            lock: self.shared.locks.conn,
-        });
-        // `to_return` is the workers' job; the supervisor destroys what has
-        // been returned for a full further timeout.
-        for id in hunt.to_destroy {
-            self.shared.conns.borrow_mut().remove(id);
-            if let Some(fd) = self.fd_of_conn.remove(&id.0) {
-                self.script.push_back(Syscall::Close { fd });
-            }
-            self.shared.core.borrow_mut().stats.conns_destroyed += 1;
-        }
     }
 
     fn next_action(&mut self, now: SimTime) -> Syscall {
         // Crash notifications first: a respawned worker must get its
         // connections back before they can starve to their idle timeout.
         loop {
-            let ctl = self.shared.ctl.borrow_mut().pop_front();
+            let ctl = self.ctl.borrow_mut().pop_front();
             match ctl {
                 Some(SupervisorCtl::WorkerRespawned(w)) => {
                     self.worked_since_scan = true;
@@ -350,7 +271,11 @@ impl Supervisor {
         if busy_due || tick_due {
             self.last_scan = now;
             self.worked_since_scan = false;
-            self.idle_pass(now);
+            // `to_return` is the workers' job; the supervisor destroys what
+            // has been returned for a full further timeout.
+            for id in self.shared.hunt(&mut self.script, now).to_destroy {
+                self.destroy(id);
+            }
             self.phase = SupPhase::Script;
             return self.script.pop_front().expect("idle pass emits syscalls");
         }
@@ -466,13 +391,6 @@ impl Process for Supervisor {
 // Worker
 // ===================================================================
 
-struct OwnedConn {
-    fd: Fd,
-    peer: SockAddr,
-    framer: StreamFramer,
-    stamp: u64,
-}
-
 enum SendState {
     /// Acquire the connection-table lock.
     LockTable,
@@ -510,38 +428,30 @@ struct SendJob {
     fd_from_request: bool,
 }
 
-enum WkrReady {
-    Assign,
-    Conn(u64),
-}
-
 enum WkrPhase {
     Start,
     AttachAssign,
     AttachReq,
-    Poll,
     AssignRecv,
-    ConnRecv(u64),
+    Io(Io),
     Send,
-    Script,
 }
 
 /// One TCP worker process (OpenSER's `tcp_receiver` children).
 pub struct TcpWorker {
     idx: usize,
-    shared: TcpShared,
+    shared: Shared,
     assign_chan: ChanId,
     req_chan: ChanId,
     assign_fd: Fd,
     req_fd: Fd,
-    owned: HashMap<u64, OwnedConn>,
-    conn_by_fd: HashMap<Fd, u64>,
+    streams: Streams,
     /// The §5.2 per-worker descriptor cache.
     cache: HashMap<u64, Fd>,
-    /// The §5.3 worker-local priority queue over owned connections.
+    /// The §5.3 worker-local priority queue over owned connections, and
+    /// each connection's latest stamp in it.
     local_heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    pending: VecDeque<WkrReady>,
-    msg_q: VecDeque<(Vec<u8>, SockAddr)>,
+    stamps: HashMap<u64, u64>,
     out_q: VecDeque<Outgoing>,
     send: Option<SendJob>,
     script: VecDeque<Syscall>,
@@ -551,7 +461,7 @@ pub struct TcpWorker {
 
 impl TcpWorker {
     /// Creates worker `idx` speaking over its two channels.
-    pub fn new(idx: usize, shared: TcpShared, assign_chan: ChanId, req_chan: ChanId) -> Self {
+    pub fn new(idx: usize, shared: Shared, assign_chan: ChanId, req_chan: ChanId) -> Self {
         TcpWorker {
             idx,
             shared,
@@ -559,12 +469,10 @@ impl TcpWorker {
             req_chan,
             assign_fd: Fd(u32::MAX),
             req_fd: Fd(u32::MAX),
-            owned: HashMap::new(),
-            conn_by_fd: HashMap::new(),
+            streams: Streams::default(),
             cache: HashMap::new(),
             local_heap: BinaryHeap::new(),
-            pending: VecDeque::new(),
-            msg_q: VecDeque::new(),
+            stamps: HashMap::new(),
             out_q: VecDeque::new(),
             send: None,
             script: VecDeque::new(),
@@ -581,69 +489,25 @@ impl TcpWorker {
         self.shared.cfg.idle_strategy == IdleStrategy::PriorityQueue
     }
 
-    fn touch_local(&mut self, now: SimTime, conn: u64) {
-        let timeout = self.shared.idle_timeout();
-        let pq = self.pq_mode();
-        if let Some(owned) = self.owned.get_mut(&conn) {
-            owned.stamp += 1;
-            if pq {
-                self.local_heap
-                    .push(Reverse((now + timeout, conn, owned.stamp)));
-            }
-        }
+    fn adopt(&mut self, now: SimTime, conn: u64, fd: Fd, peer: SockAddr) {
+        self.streams.adopt(conn, fd, peer);
+        self.stamps.remove(&conn);
+        self.touch_local(now, conn);
     }
 
-    /// Processes one framed message: parse, route, queue the sends.
-    fn process_message(&mut self, now: SimTime, raw: Vec<u8>, src: SockAddr) {
-        let parse_ns = self.costs().parse_cost(raw.len());
-        match parse_message(&raw) {
-            Err(_) => {
-                self.shared.core.borrow_mut().stats.parse_errors += 1;
-                self.script.push_back(Syscall::Compute {
-                    ns: parse_ns,
-                    tag: tags::PARSE,
-                });
-            }
-            Ok(msg) => {
-                let was_request = msg.is_request();
-                let mut core = self.shared.core.borrow_mut();
-                // Overload-signal hook: messages already framed but not
-                // yet routed are backlog the transaction table cannot
-                // see; report before routing so admission decisions use
-                // this worker's fresh depth.
-                core.note_worker_backlog(self.idx, self.msg_q.len() + self.out_q.len());
-                if let FastAdmission::Shed(plan) = core.fast_admission(now, &msg, src) {
-                    // Shed fast path: refuse from the request line, skipping
-                    // the parse/route/build pipeline.
-                    drop(core);
-                    self.script.push_back(Syscall::Compute {
-                        ns: self.costs().shed_fast,
-                        tag: tags::SHED_FAST,
-                    });
-                    self.out_q.extend(plan.out);
-                    return;
-                }
-                let plan = core.handle_message(now, msg, src);
-                drop(core);
-                let costs = self.shared.cfg.app_costs.clone();
-                routing_script(
-                    &mut self.script,
-                    &costs,
-                    &self.shared.locks,
-                    Transport::Tcp,
-                    parse_ns,
-                    was_request,
-                    &plan,
-                );
-                self.out_q.extend(plan.out);
-            }
+    fn touch_local(&mut self, now: SimTime, conn: u64) {
+        if self.pq_mode() && self.streams.owns(conn) {
+            let stamp = self.stamps.entry(conn).or_default();
+            *stamp += 1;
+            let expires = now + self.shared.cfg.idle_timeout;
+            self.local_heap.push(Reverse((expires, conn, *stamp)));
         }
     }
 
     /// Advances the in-flight send job; `None` means it finished.
     fn advance_send(&mut self, now: SimTime, last: &SysResult) -> Option<Syscall> {
         let mut job = self.send.take()?;
-        let timeout = self.shared.idle_timeout();
+        let timeout = self.shared.cfg.idle_timeout;
         let syscall = loop {
             match job.state {
                 SendState::LockTable => {
@@ -683,9 +547,9 @@ impl TcpWorker {
                 SendState::Unlock => {
                     job.state = match job.conn {
                         Some(id) => {
-                            if let Some(owned) = self.owned.get(&id.0) {
+                            if let Some(fd) = self.streams.fd(id.0) {
                                 // We own it: send directly on our fd.
-                                job.fd = Some(owned.fd);
+                                job.fd = Some(fd);
                                 SendState::Sending
                             } else if let Some(&fd) = self
                                 .shared
@@ -783,18 +647,7 @@ impl TcpWorker {
                         .borrow_mut()
                         .insert(now, target, self.idx, timeout);
                     job.conn = Some(id);
-                    let fd = job.fd.expect("connected");
-                    self.owned.insert(
-                        id.0,
-                        OwnedConn {
-                            fd,
-                            peer: target,
-                            framer: StreamFramer::new(),
-                            stamp: 0,
-                        },
-                    );
-                    self.conn_by_fd.insert(fd, id.0);
-                    self.touch_local(now, id.0);
+                    self.adopt(now, id.0, job.fd.expect("connected"), target);
                     job.state = SendState::PostConnUnlock;
                     break Some(Syscall::Compute {
                         ns: self.costs().conn_table_op,
@@ -861,14 +714,14 @@ impl TcpWorker {
         syscall
     }
 
+    /// The worker-side idle hunt over the connections it owns: a walk of
+    /// every owned connection's shared object in the baseline, pops of the
+    /// worker-local heap under §5.3. Idle connections are closed and
+    /// returned to the supervisor.
     fn idle_check(&mut self, now: SimTime) {
-        let timeout = self.shared.idle_timeout();
-        let costs_scan = self.costs().idle_scan_entry;
-        let costs_pop = self.costs().pq_pop;
+        let timeout = self.shared.cfg.idle_timeout;
         let mut expired: Vec<u64> = Vec::new();
-        let cost;
-        let examined;
-        if self.pq_mode() {
+        let examined = if self.pq_mode() {
             let mut pops = 0u64;
             while let Some(&Reverse((at, conn, stamp))) = self.local_heap.peek() {
                 if at > now {
@@ -876,44 +729,32 @@ impl TcpWorker {
                 }
                 self.local_heap.pop();
                 pops += 1;
-                if let Some(owned) = self.owned.get(&conn) {
-                    if owned.stamp == stamp {
-                        expired.push(conn);
-                    }
+                if self.streams.owns(conn) && self.stamps.get(&conn) == Some(&stamp) {
+                    expired.push(conn);
                 }
             }
-            cost = pops * costs_pop + 300;
-            examined = pops;
+            pops
         } else {
             // Baseline: examine every owned connection, reading the shared
             // objects (under the table lock).
             let conns = self.shared.conns.borrow();
-            for (&id, _owned) in self.owned.iter() {
-                if let Some(obj) = conns.get(ConnId(id)) {
-                    if obj.expires_at(timeout) <= now {
-                        expired.push(id);
-                    }
-                }
-            }
+            expired.extend(self.streams.ids().filter(|&id| {
+                conns
+                    .get(ConnId(id))
+                    .is_some_and(|obj| obj.expires_at(timeout) <= now)
+            }));
             expired.sort_unstable();
-            cost = costs_scan * self.owned.len().max(1) as u64;
-            examined = self.owned.len() as u64;
-        }
+            self.streams.len() as u64
+        };
         self.shared.core.borrow_mut().stats.idle_scan_entries += examined;
-        self.script.push_back(Syscall::LockAcquire {
-            lock: self.shared.locks.conn,
-        });
-        self.script.push_back(Syscall::Compute {
-            ns: cost.max(300),
-            tag: tags::IDLE,
-        });
-        self.script.push_back(Syscall::LockRelease {
-            lock: self.shared.locks.conn,
-        });
+        let ns = self
+            .costs()
+            .idle_hunt(self.shared.cfg.idle_strategy, examined, 300);
+        locked(&mut self.script, self.shared.locks.conn, ns, tags::IDLE);
         for conn in expired {
-            if let Some(owned) = self.owned.remove(&conn) {
-                self.conn_by_fd.remove(&owned.fd);
-                self.script.push_back(Syscall::Close { fd: owned.fd });
+            if let Some(fd) = self.streams.release(conn) {
+                self.stamps.remove(&conn);
+                self.script.push_back(Syscall::Close { fd });
                 self.script.push_back(Syscall::IpcSend {
                     fd: self.req_fd,
                     msg: IpcMsg::new(MSG_CONN_RETURN, conn, 0),
@@ -941,22 +782,22 @@ impl TcpWorker {
         }
     }
 
-    fn conn_died(&mut self, conn: u64) {
-        if let Some(owned) = self.owned.remove(&conn) {
-            self.conn_by_fd.remove(&owned.fd);
-            self.cache.remove(&conn);
-            self.script.push_back(Syscall::Close { fd: owned.fd });
-            self.script.push_back(Syscall::IpcSend {
-                fd: self.req_fd,
-                msg: IpcMsg::new(MSG_CONN_DEAD, conn, 0),
-            });
-        }
+    /// Closes a connection that died under the worker and tells the
+    /// supervisor.
+    fn conn_died(&mut self, conn: u64, fd: Fd) {
+        self.stamps.remove(&conn);
+        self.cache.remove(&conn);
+        self.script.push_back(Syscall::Close { fd });
+        self.script.push_back(Syscall::IpcSend {
+            fd: self.req_fd,
+            msg: IpcMsg::new(MSG_CONN_DEAD, conn, 0),
+        });
     }
 
     fn next_action(&mut self, now: SimTime) -> Syscall {
         loop {
             if let Some(s) = self.script.pop_front() {
-                self.phase = WkrPhase::Script;
+                self.phase = WkrPhase::Io(Io::Script);
                 return s;
             }
             if self.send.is_some() {
@@ -977,25 +818,21 @@ impl TcpWorker {
                 });
                 continue;
             }
-            if let Some((raw, src)) = self.msg_q.pop_front() {
-                self.process_message(now, raw, src);
+            let (shared, script, out_q) = (&self.shared, &mut self.script, &mut self.out_q);
+            if self
+                .streams
+                .serve_next(shared, script, out_q, self.idx, now)
+            {
                 continue;
             }
-            match self.pending.pop_front() {
-                Some(WkrReady::Assign) => {
+            match self.streams.next_ready() {
+                Some(Next::Ctl) => {
                     self.phase = WkrPhase::AssignRecv;
                     return Syscall::IpcRecv { fd: self.assign_fd };
                 }
-                Some(WkrReady::Conn(conn)) => {
-                    if let Some(owned) = self.owned.get(&conn) {
-                        let fd = owned.fd;
-                        self.phase = WkrPhase::ConnRecv(conn);
-                        return Syscall::TcpRecv {
-                            fd,
-                            max: RECV_CHUNK,
-                        };
-                    }
-                    continue;
+                Some(Next::Recv(recv, io)) => {
+                    self.phase = WkrPhase::Io(io);
+                    return recv;
                 }
                 None => {}
             }
@@ -1004,24 +841,16 @@ impl TcpWorker {
                 self.idle_check(now);
                 continue;
             }
-            let mut fds = Vec::with_capacity(1 + self.owned.len());
-            fds.push(self.assign_fd);
-            fds.extend(self.owned.values().map(|o| o.fd));
-            // Poll order decides which ready connection is served first;
-            // sort so it does not depend on HashMap iteration order.
-            fds[1..].sort_unstable();
-            self.phase = WkrPhase::Poll;
-            return Syscall::Poll {
-                fds,
-                timeout: Some(self.next_idle_check - now),
-            };
+            self.phase = WkrPhase::Io(Io::Poll);
+            let timeout = self.next_idle_check - now;
+            return self.streams.poll(self.assign_fd, Some(timeout));
         }
     }
 }
 
 impl Process for TcpWorker {
     fn resume(&mut self, ctx: &mut ResumeCtx, last: SysResult) -> Syscall {
-        match std::mem::replace(&mut self.phase, WkrPhase::Script) {
+        match std::mem::replace(&mut self.phase, WkrPhase::Io(Io::Script)) {
             WkrPhase::Start => {
                 self.phase = WkrPhase::AttachAssign;
                 Syscall::IpcAttach {
@@ -1042,92 +871,27 @@ impl Process for TcpWorker {
                 self.next_idle_check = ctx.now + self.shared.cfg.idle_check_interval;
                 self.next_action(ctx.now)
             }
-            WkrPhase::Poll => {
-                match last {
-                    SysResult::Ready(fds) => {
-                        for fd in fds {
-                            if fd == self.assign_fd {
-                                self.pending.push_back(WkrReady::Assign);
-                            } else if let Some(&conn) = self.conn_by_fd.get(&fd) {
-                                self.pending.push_back(WkrReady::Conn(conn));
-                            }
-                        }
-                    }
-                    SysResult::TimedOut => {}
-                    other => panic!("worker poll got {other:?}"),
-                }
-                self.next_action(ctx.now)
-            }
             WkrPhase::AssignRecv => {
                 match last {
                     SysResult::Ipc(msg) => {
                         assert_eq!(msg.kind, MSG_NEW_CONN, "assign channel protocol");
                         let fd = msg.fd.expect("new conn carries its fd");
-                        let peer = decode_addr(msg.b);
-                        self.owned.insert(
-                            msg.a,
-                            OwnedConn {
-                                fd,
-                                peer,
-                                framer: StreamFramer::new(),
-                                stamp: 0,
-                            },
-                        );
-                        self.conn_by_fd.insert(fd, msg.a);
-                        let now = ctx.now;
-                        self.touch_local(now, msg.a);
+                        self.adopt(ctx.now, msg.a, fd, decode_addr(msg.b));
                     }
                     other => panic!("assign recv got {other:?}"),
                 }
                 self.next_action(ctx.now)
             }
-            WkrPhase::ConnRecv(conn) => {
-                match last {
-                    SysResult::Data(bytes) => {
-                        let timeout = self.shared.idle_timeout();
-                        let pq = self.pq_mode();
-                        // Update the connection's idle clock; in PQ mode
-                        // this repositions it in the shared heap under the
-                        // table lock (§5.3's per-message price).
-                        self.shared
-                            .conns
-                            .borrow_mut()
-                            .touch(ConnId(conn), ctx.now, timeout);
-                        self.touch_local(ctx.now, conn);
-                        if pq {
-                            self.script.push_back(Syscall::LockAcquire {
-                                lock: self.shared.locks.conn,
-                            });
-                            self.script.push_back(Syscall::Compute {
-                                ns: self.costs().pq_update,
-                                tag: tags::CONN_HASH,
-                            });
-                            self.script.push_back(Syscall::LockRelease {
-                                lock: self.shared.locks.conn,
-                            });
-                        }
-                        let (peer, frames) = {
-                            let owned = self.owned.get_mut(&conn).expect("receiving on owned conn");
-                            owned.framer.push(&bytes);
-                            (owned.peer, owned.framer.drain_messages())
-                        };
-                        match frames {
-                            Ok(frames) => {
-                                for raw in frames {
-                                    self.msg_q.push_back((raw, peer));
-                                }
-                            }
-                            Err(_) => {
-                                // Corrupt stream: drop the connection.
-                                self.shared.core.borrow_mut().stats.parse_errors += 1;
-                                self.conn_died(conn);
-                            }
-                        }
-                    }
-                    SysResult::Eof | SysResult::Err(_) => {
-                        self.conn_died(conn);
-                    }
-                    other => panic!("conn recv got {other:?}"),
+            WkrPhase::Io(io) => {
+                if let (Io::Recv(conn), SysResult::Data(_)) = (io, &last) {
+                    self.touch_local(ctx.now, conn);
+                }
+                let (shared, script) = (&self.shared, &mut self.script);
+                if let Some((conn, fd)) =
+                    self.streams
+                        .resume(shared, script, self.assign_fd, ctx.now, io, last)
+                {
+                    self.conn_died(conn, fd);
                 }
                 self.next_action(ctx.now)
             }
@@ -1135,12 +899,6 @@ impl Process for TcpWorker {
                 if let Some(s) = self.advance_send(ctx.now, &last) {
                     self.phase = WkrPhase::Send;
                     return s;
-                }
-                self.next_action(ctx.now)
-            }
-            WkrPhase::Script => {
-                if let SysResult::Err(_) = last {
-                    self.shared.core.borrow_mut().stats.send_errors += 1;
                 }
                 self.next_action(ctx.now)
             }

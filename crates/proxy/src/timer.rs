@@ -13,52 +13,37 @@
 //! lacks a connection and drops them, which only matters when a phone dies
 //! mid-call.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, MsgTransport, SysResult, Syscall};
 
-use crate::config::{AppCostModel, Transport};
-use crate::core::ProxyCore;
-use crate::plumbing::{tags, Locks};
+use crate::plumbing::{tags, Shared};
 
 /// The retransmission/reaping timer process.
 pub struct TimerProc {
-    core: Rc<RefCell<ProxyCore>>,
-    costs: AppCostModel,
-    locks: Locks,
-    tick: siperf_simcore::time::SimDuration,
+    shared: Shared,
     /// How retransmissions go on the wire; `None` under TCP, where they
     /// never happen and timeouts are dropped.
     transport: Option<MsgTransport>,
     /// The shared SCTP endpoint, inherited like the workers'. Without one,
     /// a UDP timer binds its own ephemeral socket.
-    shared: Option<Rc<Cell<Option<Fd>>>>,
+    endpoint: Option<Rc<Cell<Option<Fd>>>>,
     fd: Option<Fd>,
     script: VecDeque<Syscall>,
     started: bool,
 }
 
 impl TimerProc {
-    /// Creates the timer process for the given transport; `shared` is the
-    /// shared-endpoint slot the timer inherits (SCTP only).
-    pub fn new(
-        core: Rc<RefCell<ProxyCore>>,
-        costs: AppCostModel,
-        locks: Locks,
-        tick: siperf_simcore::time::SimDuration,
-        transport: Transport,
-        shared: Option<Rc<Cell<Option<Fd>>>>,
-    ) -> Self {
+    /// Creates the timer process for the configured transport; `endpoint`
+    /// is the shared-endpoint slot the timer inherits (SCTP only).
+    pub fn new(shared: Shared, endpoint: Option<Rc<Cell<Option<Fd>>>>) -> Self {
         TimerProc {
-            core,
-            costs,
-            locks,
-            tick,
-            transport: transport.msg_transport(),
+            transport: shared.cfg.transport.msg_transport(),
             shared,
+            endpoint,
             fd: None,
             script: VecDeque::new(),
             started: false,
@@ -67,55 +52,56 @@ impl TimerProc {
 
     fn run_pass(&mut self, ctx: &ResumeCtx) {
         // Lock ordering per OpenSER: timer list first, then transactions.
-        self.script.push_back(Syscall::LockAcquire {
-            lock: self.locks.timer,
-        });
-        self.script.push_back(Syscall::LockAcquire {
-            lock: self.locks.txn,
-        });
-        let pass = self.core.borrow_mut().timer_pass(ctx.now);
+        let locks = self.shared.locks;
+        self.script
+            .push_back(Syscall::LockAcquire { lock: locks.timer });
+        self.script
+            .push_back(Syscall::LockAcquire { lock: locks.txn });
+        let pass = self.shared.core.borrow_mut().timer_pass(ctx.now);
         let scan_ns = self
-            .costs
+            .shared
+            .cfg
+            .app_costs
             .timer_scan_entry
             .saturating_mul(pass.examined.max(1));
         self.script.push_back(Syscall::Compute {
             ns: scan_ns,
             tag: tags::TIMER_SCAN,
         });
-        self.script.push_back(Syscall::LockRelease {
-            lock: self.locks.txn,
-        });
-        self.script.push_back(Syscall::LockRelease {
-            lock: self.locks.timer,
-        });
+        self.script
+            .push_back(Syscall::LockRelease { lock: locks.txn });
+        self.script
+            .push_back(Syscall::LockRelease { lock: locks.timer });
         for out in pass.retransmits.into_iter().chain(pass.timeouts) {
             match (self.transport, self.fd) {
                 (Some(mt), Some(fd)) => self.script.push_back(mt.send(fd, out.dest, out.bytes)),
                 // TCP timer has no connection to send on; see module docs.
-                _ => self.core.borrow_mut().stats.send_errors += 1,
+                _ => self.shared.core.borrow_mut().stats.send_errors += 1,
             }
         }
-        self.script.push_back(Syscall::Sleep(self.tick));
+        self.script
+            .push_back(Syscall::Sleep(self.shared.cfg.timer_tick));
     }
 }
 
 impl Process for TimerProc {
     fn resume(&mut self, ctx: &mut ResumeCtx, last: SysResult) -> Syscall {
         if let SysResult::Err(_) = last {
-            self.core.borrow_mut().stats.send_errors += 1;
+            self.shared.core.borrow_mut().stats.send_errors += 1;
         }
+        let tick = self.shared.cfg.timer_tick;
         if !self.started {
             self.started = true;
-            if let Some(slot) = &self.shared {
+            if let Some(slot) = &self.endpoint {
                 self.fd = Some(slot.get().expect("shared SCTP endpoint installed"));
             } else if self.transport == Some(MsgTransport::Udp) {
                 return Syscall::UdpBindEphemeral;
             }
-            return Syscall::Sleep(self.tick);
+            return Syscall::Sleep(tick);
         }
         if self.fd.is_none() && self.transport == Some(MsgTransport::Udp) {
             self.fd = Some(last.expect_fd());
-            return Syscall::Sleep(self.tick);
+            return Syscall::Sleep(tick);
         }
         if let Some(next) = self.script.pop_front() {
             return next;

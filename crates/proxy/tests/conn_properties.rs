@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 
 use siperf_proxy::conn::{ConnId, ConnTable};
+use siperf_proxy::IdleStrategy;
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::{HostId, SockAddr};
 
@@ -42,8 +43,8 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         step_ms in 100u64..8_000,
     ) {
-        let mut lin = ConnTable::new();
-        let mut pq = ConnTable::with_priority_queue();
+        let mut lin = ConnTable::new(IdleStrategy::LinearScan);
+        let mut pq = ConnTable::new(IdleStrategy::PriorityQueue);
         let mut ids: Vec<ConnId> = Vec::new();
         let mut now_ms = 0u64;
 
@@ -71,8 +72,8 @@ proptest! {
                     }
                 }
                 Op::Hunt => {
-                    let a = lin.hunt_linear(now, TIMEOUT);
-                    let b = pq.hunt_priority_queue(now, TIMEOUT);
+                    let a = lin.hunt(now, TIMEOUT);
+                    let b = pq.hunt(now, TIMEOUT);
                     let mut a_ret = a.to_return.clone();
                     let mut b_ret = b.to_return.clone();
                     a_ret.sort();
@@ -110,14 +111,14 @@ proptest! {
         inserts in 1usize..80,
         hunts in 1usize..40,
     ) {
-        let mut pq = ConnTable::with_priority_queue();
+        let mut pq = ConnTable::new(IdleStrategy::PriorityQueue);
         for i in 0..inserts {
             pq.insert(t(0), SockAddr::new(HostId(1), 10_000 + i as u16), 0, TIMEOUT);
         }
         let mut examined = 0;
         for h in 0..hunts {
             // Hunt long after everything expired, repeatedly.
-            let hunt = pq.hunt_priority_queue(t(20_000 + h as u64), TIMEOUT);
+            let hunt = pq.hunt(t(20_000 + h as u64), TIMEOUT);
             examined += hunt.examined;
             for id in hunt.to_destroy {
                 pq.remove(id);
@@ -139,7 +140,7 @@ proptest! {
 /// present in the table until destroyed.
 #[test]
 fn returned_connections_are_not_routes() {
-    let mut tab = ConnTable::new();
+    let mut tab = ConnTable::new(IdleStrategy::LinearScan);
     let peer = SockAddr::new(HostId(2), 30_000);
     let id = tab.insert(t(0), peer, 0, TIMEOUT);
     assert_eq!(tab.lookup_peer(peer), Some(id));
