@@ -3,7 +3,7 @@
 //! recovery on a lossy network.
 
 use siperf::faults::{Fault, FaultSchedule};
-use siperf::proxy::config::{ProxyConfig, Transport};
+use siperf::proxy::config::{Arch, ProxyConfig, Transport};
 use siperf::simcore::time::{SimDuration, SimTime};
 use siperf::simnet::NetConfig;
 use siperf::workload::Scenario;
@@ -220,4 +220,45 @@ fn tcp_tolerates_a_mid_call_worker_crash() {
 fn sctp_tolerates_a_mid_call_worker_crash() {
     let report = worker_crash_run(Transport::Sctp);
     assert_crash_tolerated(&report, Transport::Sctp);
+}
+
+/// A four-thread threaded proxy, optionally losing thread 0 at 1.0 s.
+fn threaded_run(faults: FaultSchedule) -> siperf::workload::ScenarioReport {
+    let mut s = Scenario::builder("threaded-crash")
+        .transport(Transport::Tcp)
+        .tune_proxy(|p| {
+            p.arch = Arch::MultiThread;
+            p.workers = Some(4);
+        })
+        .client_pairs(12)
+        .seed(7)
+        .fault_schedule(faults)
+        .build();
+    s.call_start = SimDuration::from_millis(600);
+    s.measure_from = SimDuration::from_millis(1200);
+    s.measure = SimDuration::from_secs(2);
+    s.run()
+}
+
+/// The replacement of a crashed worker thread takes over the connections
+/// the dead thread was reading; otherwise their phones stall until the
+/// idle timeout and a quarter of the callers drop out of the window.
+#[test]
+fn respawned_worker_thread_adopts_the_dead_threads_connections() {
+    let clean = threaded_run(FaultSchedule::new());
+    let crash = FaultSchedule::new().at(
+        SimDuration::from_millis(1000),
+        Fault::KillWorker { index: 0 },
+    );
+    let crashed = threaded_run(crash);
+    assert_eq!(crashed.workers_respawned, 1);
+    assert!(
+        crashed.proxy.conns_reassigned > 0,
+        "the replacement thread adopted no connection"
+    );
+    let (clean_ops, crashed_ops) = (clean.throughput.per_sec(), crashed.throughput.per_sec());
+    assert!(
+        crashed_ops > 0.9 * clean_ops,
+        "one thread crash cut goodput from {clean_ops:.0} to {crashed_ops:.0} ops/s"
+    );
 }
