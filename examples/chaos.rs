@@ -1,18 +1,20 @@
 //! Chaos tour: the canonical fault storm — a Gilbert–Elliott burst-loss
 //! episode, one worker crash, one TCP connection reset — replayed against
-//! every transport, plus a supervisor assassination for the TCP
-//! multi-process architecture.
+//! every transport and both TCP architectures, plus a supervisor
+//! assassination for the TCP multi-process architecture.
 //!
 //! The point is the paper's robustness story told with numbers: reliable
 //! transports stall through bursts where UDP drops and retransmits, a
-//! crashed worker's connections migrate to its replacement, and a reset
-//! phone reconnects and re-drives its call. Same seed, same storm, same
-//! report — byte for byte.
+//! crashed TCP worker's connections go to its replacement (the supervisor
+//! passes a process its descriptors again; a thread adopts them from the
+//! shared descriptor table), a crashed UDP/SCTP worker's replacement
+//! shares the socket again, and a reset phone reconnects and re-drives its
+//! call. Same seed, same storm, same report — byte for byte.
 //!
 //! Run: `cargo run --release --example chaos [seed]`
 
 use siperf::faults::{Fault, FaultSchedule};
-use siperf::proxy::config::{ProxyConfig, Transport};
+use siperf::proxy::config::{Arch, ProxyConfig, Transport};
 use siperf::simcore::time::SimDuration;
 use siperf::simnet::HostId;
 use siperf::workload::Scenario;
@@ -21,7 +23,7 @@ fn ms(n: u64) -> SimDuration {
     SimDuration::from_millis(n)
 }
 
-fn storm_run(transport: Transport, seed: u64) {
+fn storm_run(transport: Transport, arch: Arch, seed: u64) {
     let workers = ProxyConfig::paper(transport).worker_count();
     let storm = FaultSchedule::storm(seed, ms(2500), ms(3000), workers, HostId(0));
     println!("  schedule:");
@@ -29,8 +31,9 @@ fn storm_run(transport: Transport, seed: u64) {
         println!("    t={:>8}  {:?}", ev.at.to_string(), ev.fault);
     }
 
-    let mut s = Scenario::builder(format!("chaos-{transport:?}"))
+    let mut s = Scenario::builder(format!("chaos-{transport:?}-{arch:?}"))
         .transport(transport)
+        .tune_proxy(|p| p.arch = arch)
         .client_pairs(50)
         .seed(seed)
         .fault_schedule(storm)
@@ -92,8 +95,10 @@ fn main() {
 
     for transport in [Transport::Udp, Transport::Tcp, Transport::Sctp] {
         println!("{transport:?}, paper configuration");
-        storm_run(transport, seed);
+        storm_run(transport, Arch::MultiProcess, seed);
     }
+    println!("Tcp, multi-threaded architecture");
+    storm_run(Transport::Tcp, Arch::MultiThread, seed);
     supervisor_assassination(seed);
 
     println!("Replay any line with the same seed: the report is identical, byte for byte.");
