@@ -6,10 +6,11 @@
 //! a short, fixed-seed run whose [`ScenarioReport::fingerprint`] is hashed
 //! with FNV-1a-64 and compared with the digest committed below.
 //!
-//! Eighteen rows: both caller kinds on every transport, TCP churn, CANCEL,
+//! Twenty rows: both caller kinds on every transport, TCP churn, CANCEL,
 //! shedding, the canonical storms, the idle-connection hunt under the fd
-//! cache, the priority queue and the threaded architecture, and a worker
-//! thread crash.
+//! cache, the priority queue and the threaded architecture, a worker
+//! thread crash, and registration retried through a UDP partition and a
+//! TCP accept freeze.
 //!
 //! A change that moves a digest on purpose must name the row and the reason
 //! in CHANGES.md; the failure message prints the new digest to copy in.
@@ -288,4 +289,45 @@ fn tcp_threaded_crash() {
         .fault_schedule(faults);
     let r = check(&finish(b), 0x8340_1334_89ed_154f);
     assert_eq!(r.workers_respawned, 1);
+}
+
+/// Client host 1 is cut off from the server for the first 300 ms, so the
+/// REGISTERs of its phones go unanswered and are retransmitted before the
+/// partition heals.
+#[test]
+fn udp_registration_through_a_partition() {
+    let faults = FaultSchedule::new().at(
+        ms(0),
+        Fault::Partition {
+            a: HostId(1),
+            b: HostId(0),
+            heal_after: ms(300),
+        },
+    );
+    let b = short("udp-reg-partition300", Transport::Udp).fault_schedule(faults);
+    let r = check(&finish(b), 0x0ebb_6ed8_c09e_aead);
+    assert_eq!(
+        r.phone_retransmits, 3,
+        "the lost REGISTERs are retransmitted"
+    );
+    assert_eq!(r.registered, 12);
+}
+
+/// The server accepts no connection for 32.6 s, so every phone's first
+/// REGISTER times out and is sent again over a fresh connection; the
+/// window moves to [33.0 s, 33.6 s), after the thaw.
+#[test]
+fn tcp_registration_through_an_accept_freeze() {
+    let faults = FaultSchedule::new().at(
+        ms(0),
+        Fault::AcceptFreeze {
+            host: HostId(0),
+            duration: ms(32_600),
+        },
+    );
+    let b = short("tcp-reg-freeze", Transport::Tcp).fault_schedule(faults);
+    let mut s = finish(b);
+    s.measure_from = ms(33_000);
+    let r = check(&s, 0xba88_8f44_2bd7_720f);
+    assert_eq!(r.registered, 12);
 }
