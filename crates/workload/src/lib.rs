@@ -9,11 +9,15 @@
 //! literature's goodput-vs-offered-load curves.
 //!
 //! * [`phone`] — the transport-independent caller engine (closed- or
-//!   open-loop [`phone::Arrivals`]) and callee logic.
-//! * [`phone_msg`] — the UDP/SCTP phone process (callers and callees).
-//! * [`phone_tcp`] — the TCP phone process with a listen socket,
-//!   never-closed connections, the 50/500 ops-per-connection reconnect
-//!   policies and reconnect-and-redrive after a reset.
+//!   open-loop [`phone::Arrivals`]), callee logic, and the phone front end
+//!   both phone processes drive: registration with its retry rule, the
+//!   poll loop, inbound dispatch and ring-delayed answers.
+//! * [`phone_msg`] — the UDP/SCTP phone process: one socket, receive and
+//!   send-to.
+//! * [`phone_tcp`] — the TCP phone process: a listen socket, never-closed
+//!   connections and one connect path, used for registration, the 50/500
+//!   ops-per-connection reconnect policies and reconnect-and-redrive after
+//!   a reset.
 //! * [`scenario`] — world construction, execution, and the full
 //!   [`scenario::ScenarioReport`].
 //! * [`experiments`] — the paper's grid: Figures 3–5 cells, the §4.3
