@@ -11,6 +11,14 @@
 //! shares the socket again, and a reset phone reconnects and re-drives its
 //! call. Same seed, same storm, same report — byte for byte.
 //!
+//! A registration outage follows on every transport: all client hosts are
+//! cut off from the server from t=0 for 33 s, past the 32 s registration
+//! timeout (Timer F). UDP and SCTP phones register again under a fresh
+//! clock, TCP phones' handshakes wait out the partition, and the
+//! registered count shows every phone made it. Phones register in a new
+//! order after the outage, so a caller whose callee has not registered yet
+//! gets 404s, each failing a call, until the callee registers.
+//!
 //! Run: `cargo run --release --example chaos [seed]`
 
 use siperf::faults::{Fault, FaultSchedule};
@@ -86,6 +94,37 @@ fn supervisor_assassination(seed: u64) {
     );
 }
 
+fn registration_outage(transport: Transport, seed: u64) {
+    println!("{transport:?}, every client host partitioned from the server for 33 s from t=0");
+    let mut s = Scenario::builder(format!("chaos-reg-{transport:?}"))
+        .transport(transport)
+        .client_pairs(50)
+        .seed(seed)
+        .build();
+    s.faults = (1..=s.client_hosts as u32).fold(FaultSchedule::new(), |f, h| {
+        f.at(
+            ms(0),
+            Fault::Partition {
+                a: HostId(h),
+                b: HostId(0),
+                heal_after: ms(33_000),
+            },
+        )
+    });
+    s.call_start = ms(600);
+    s.measure_from = ms(35_000);
+    s.measure = SimDuration::from_secs(2);
+    let r = s.run();
+    println!("  {}", r.summary());
+    println!(
+        "  registered {}/{}  phone retransmits {}  connect errors {}\n",
+        r.registered,
+        2 * r.pairs,
+        r.phone_retransmits,
+        r.connect_errors,
+    );
+}
+
 fn main() {
     let seed = std::env::args()
         .nth(1)
@@ -100,6 +139,9 @@ fn main() {
     println!("Tcp, multi-threaded architecture");
     storm_run(Transport::Tcp, Arch::MultiThread, seed);
     supervisor_assassination(seed);
+    for transport in [Transport::Udp, Transport::Tcp, Transport::Sctp] {
+        registration_outage(transport, seed);
+    }
 
     println!("Replay any line with the same seed: the report is identical, byte for byte.");
 }
