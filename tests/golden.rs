@@ -6,7 +6,7 @@
 //! a short, fixed-seed run whose [`ScenarioReport::fingerprint`] is hashed
 //! with FNV-1a-64 and compared with the digest committed below.
 //!
-//! Twenty rows: both caller kinds on every transport, TCP churn, CANCEL,
+//! Twenty-one rows: both caller kinds on every transport, TCP churn, CANCEL,
 //! shedding, the canonical storms, the idle-connection hunt under the fd
 //! cache, the priority queue and the threaded architecture, a worker
 //! thread crash, and registration retried through a UDP partition and a
@@ -219,6 +219,18 @@ fn tcp_canonical_storm() {
     );
     assert_eq!(r.faults_injected, 3);
     assert!(r.recovered_calls >= 1, "the reset re-drove no call");
+}
+
+/// Pins the SCTP worker respawn (donor search or rebinding the shared
+/// endpoint) and the stalls link faults put on a reliable transport.
+#[test]
+fn sctp_canonical_storm() {
+    let r = check(
+        &storm("sctp-storm", Transport::Sctp, 7),
+        0xb8a7_ac19_04bb_e588,
+    );
+    assert_eq!(r.faults_injected, 2);
+    assert_eq!(r.workers_respawned, 1);
 }
 
 #[test]
