@@ -14,23 +14,25 @@
 //! per-connection write locks. The paper predicts this removes most of the
 //! TCP architecture's overheads while retaining reliable delivery — the
 //! `extensions` bench quantifies it.
+//!
+//! The loop is literally the same: the spawner binds the shared socket for
+//! one protocol (`Kernel::setup_shared`), and `MsgRecv`/`MsgSend` read the
+//! protocol, and the kernel its cost, from the inherited descriptor.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use siperf_simos::process::{Process, ResumeCtx};
-use siperf_simos::syscall::{Fd, MsgTransport, SysResult, Syscall};
+use siperf_simos::syscall::{Fd, SysResult, Syscall};
 
 use crate::plumbing::Shared;
 
 /// One symmetric UDP or SCTP worker process.
 pub struct MsgWorker {
-    mt: MsgTransport,
     shared: Shared,
     /// Filled by the spawner after fork-inheritance of the shared socket.
     fd_slot: Rc<Cell<Option<Fd>>>,
-    fd: Fd,
     script: VecDeque<Syscall>,
 }
 
@@ -38,21 +40,10 @@ impl MsgWorker {
     /// Creates a worker; `fd_slot` must be filled (via
     /// [`siperf_simos::kernel::Kernel::setup_shared`]) before the
     /// simulation runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured transport is TCP, which has no shared
-    /// message socket.
     pub fn new(shared: Shared, fd_slot: Rc<Cell<Option<Fd>>>) -> Self {
         MsgWorker {
-            mt: shared
-                .cfg
-                .transport
-                .msg_transport()
-                .expect("symmetric workers need a message transport"),
             shared,
             fd_slot,
-            fd: Fd(u32::MAX),
             script: VecDeque::new(),
         }
     }
@@ -67,16 +58,13 @@ impl Process for MsgWorker {
         if let Some(next) = self.script.pop_front() {
             return next;
         }
-        if let SysResult::Start = last {
-            self.fd = self
-                .fd_slot
-                .get()
-                .expect("shared SIP socket installed before run");
-            return self.mt.recv(self.fd);
-        }
-        // Script drained (or a send completed): back to the loop top.
-        let Some((from, data)) = last.into_msg() else {
-            return self.mt.recv(self.fd);
+        let fd = self
+            .fd_slot
+            .get()
+            .expect("shared SIP socket installed before run");
+        // Started, script drained, or a send completed: back to the loop top.
+        let SysResult::Msg { from, data } = last else {
+            return Syscall::MsgRecv { fd };
         };
         // A worker holds at most one message at a time — the backlog lives
         // in the kernel socket or association buffers where OpenSER cannot
@@ -85,8 +73,11 @@ impl Process for MsgWorker {
             .shared
             .serve(&mut self.script, None, ctx.now, &data, from);
         for out in out {
-            let send = self.mt.send(self.fd, out.dest, out.bytes);
-            self.script.push_back(send);
+            self.script.push_back(Syscall::MsgSend {
+                fd,
+                to: out.dest,
+                data: out.bytes,
+            });
         }
         self.script
             .pop_front()

@@ -12,6 +12,11 @@
 //! (408) are only deliverable on datagram transports here; on TCP the timer
 //! lacks a connection and drops them, which only matters when a phone dies
 //! mid-call.
+//!
+//! The UDP timer binds its own ephemeral socket (`MsgBindEphemeral`); the
+//! SCTP timer inherits the shared endpoint like a worker. Either way its
+//! retransmissions are plain `MsgSend`s: the protocol travels with the
+//! descriptor.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -20,17 +25,17 @@ use std::rc::Rc;
 use siperf_simos::process::{Process, ResumeCtx};
 use siperf_simos::syscall::{Fd, MsgTransport, SysResult, Syscall};
 
+use crate::config::Transport;
 use crate::plumbing::{tags, Shared};
 
 /// The retransmission/reaping timer process.
 pub struct TimerProc {
     shared: Shared,
-    /// How retransmissions go on the wire; `None` under TCP, where they
-    /// never happen and timeouts are dropped.
-    transport: Option<MsgTransport>,
     /// The shared SCTP endpoint, inherited like the workers'. Without one,
     /// a UDP timer binds its own ephemeral socket.
     endpoint: Option<Rc<Cell<Option<Fd>>>>,
+    /// The message socket retransmissions go out on; `None` under TCP,
+    /// where they never happen and timeouts are dropped.
     fd: Option<Fd>,
     script: VecDeque<Syscall>,
     started: bool,
@@ -41,7 +46,6 @@ impl TimerProc {
     /// is the shared-endpoint slot the timer inherits (SCTP only).
     pub fn new(shared: Shared, endpoint: Option<Rc<Cell<Option<Fd>>>>) -> Self {
         TimerProc {
-            transport: shared.cfg.transport.msg_transport(),
             shared,
             endpoint,
             fd: None,
@@ -73,10 +77,14 @@ impl TimerProc {
         self.script
             .push_back(Syscall::LockRelease { lock: locks.timer });
         for out in pass.retransmits.into_iter().chain(pass.timeouts) {
-            match (self.transport, self.fd) {
-                (Some(mt), Some(fd)) => self.script.push_back(mt.send(fd, out.dest, out.bytes)),
+            match self.fd {
+                Some(fd) => self.script.push_back(Syscall::MsgSend {
+                    fd,
+                    to: out.dest,
+                    data: out.bytes,
+                }),
                 // TCP timer has no connection to send on; see module docs.
-                _ => self.shared.core.borrow_mut().stats.send_errors += 1,
+                None => self.shared.core.borrow_mut().stats.send_errors += 1,
             }
         }
         self.script
@@ -94,12 +102,14 @@ impl Process for TimerProc {
             self.started = true;
             if let Some(slot) = &self.endpoint {
                 self.fd = Some(slot.get().expect("shared SCTP endpoint installed"));
-            } else if self.transport == Some(MsgTransport::Udp) {
-                return Syscall::UdpBindEphemeral;
+            } else if self.shared.cfg.transport == Transport::Udp {
+                return Syscall::MsgBindEphemeral {
+                    proto: MsgTransport::Udp,
+                };
             }
             return Syscall::Sleep(tick);
         }
-        if self.fd.is_none() && self.transport == Some(MsgTransport::Udp) {
+        if self.fd.is_none() && self.shared.cfg.transport == Transport::Udp {
             self.fd = Some(last.expect_fd());
             return Syscall::Sleep(tick);
         }

@@ -13,6 +13,7 @@ use siperf_simnet::NetConfig;
 use siperf_simos::cost::CostModel;
 use siperf_simos::kernel::Kernel;
 use siperf_simos::process::{Nice, ResumeCtx};
+use siperf_simos::syscall::MsgTransport::Udp;
 use siperf_simos::syscall::{Fd, SysResult, Syscall};
 use siperf_sip::gen::{self, CallParty};
 use siperf_sip::msg::StatusCode;
@@ -44,11 +45,14 @@ fn proxy_retransmits_and_times_out_towards_a_silent_callee() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             gstep += 1;
             match gstep {
-                1 => Syscall::UdpBind { port: 20_002 },
+                1 => Syscall::MsgBind {
+                    proto: Udp,
+                    port: 20_002,
+                },
                 2 => {
                     gfd = last.expect_fd();
                     let ghost = CallParty::new("ghost", "h1:20002");
-                    Syscall::UdpSend {
+                    Syscall::MsgSend {
                         fd: gfd,
                         to: proxy_addr,
                         data: siperf_simnet::bytes_from(
@@ -57,10 +61,10 @@ fn proxy_retransmits_and_times_out_towards_a_silent_callee() {
                     }
                 }
                 _ => {
-                    if matches!(last, SysResult::Datagram { .. }) && gstep > 3 {
+                    if matches!(last, SysResult::Msg { .. }) && gstep > 3 {
                         *grx.borrow_mut() += 1;
                     }
-                    Syscall::UdpRecv { fd: gfd }
+                    Syscall::MsgRecv { fd: gfd }
                 }
             }
         }),
@@ -81,10 +85,13 @@ fn proxy_retransmits_and_times_out_towards_a_silent_callee() {
             let alice = CallParty::new("alice", "h1:20001");
             let ghost = CallParty::new("ghost", "h1:20002");
             match cstep {
-                1 => Syscall::UdpBind { port: 20_001 },
+                1 => Syscall::MsgBind {
+                    proto: Udp,
+                    port: 20_001,
+                },
                 2 => {
                     cfd = last.expect_fd();
-                    Syscall::UdpSend {
+                    Syscall::MsgSend {
                         fd: cfd,
                         to: proxy_addr,
                         data: siperf_simnet::bytes_from(
@@ -92,8 +99,8 @@ fn proxy_retransmits_and_times_out_towards_a_silent_callee() {
                         ),
                     }
                 }
-                3 => Syscall::UdpRecv { fd: cfd }, // 200 to REGISTER
-                4 => Syscall::UdpSend {
+                3 => Syscall::MsgRecv { fd: cfd }, // 200 to REGISTER
+                4 => Syscall::MsgSend {
                     fd: cfd,
                     to: proxy_addr,
                     data: siperf_simnet::bytes_from(
@@ -102,7 +109,7 @@ fn proxy_retransmits_and_times_out_towards_a_silent_callee() {
                     ),
                 },
                 _ => {
-                    if let SysResult::Datagram { data, .. } = &last {
+                    if let SysResult::Msg { data, .. } = &last {
                         if let Ok(msg) = parse_message(data) {
                             if let Some(code) = msg.status() {
                                 if msg.call_id == "dead-call" {
@@ -111,7 +118,7 @@ fn proxy_retransmits_and_times_out_towards_a_silent_callee() {
                             }
                         }
                     }
-                    Syscall::UdpRecv { fd: cfd }
+                    Syscall::MsgRecv { fd: cfd }
                 }
             }
         }),
@@ -169,10 +176,13 @@ fn unregistered_destination_gets_404_end_to_end() {
             let alice = CallParty::new("alice", "h1:20001");
             let nobody = CallParty::new("nobody", "h1:1");
             match step {
-                1 => Syscall::UdpBind { port: 20_001 },
+                1 => Syscall::MsgBind {
+                    proto: Udp,
+                    port: 20_001,
+                },
                 2 => {
                     fd = last.expect_fd();
-                    Syscall::UdpSend {
+                    Syscall::MsgSend {
                         fd,
                         to: proxy_addr,
                         data: siperf_simnet::bytes_from(
@@ -181,9 +191,9 @@ fn unregistered_destination_gets_404_end_to_end() {
                         ),
                     }
                 }
-                3 => Syscall::UdpRecv { fd },
+                3 => Syscall::MsgRecv { fd },
                 _ => {
-                    if let SysResult::Datagram { data, .. } = &last {
+                    if let SysResult::Msg { data, .. } = &last {
                         *g.borrow_mut() = parse_message(data).ok().and_then(|m| m.status());
                     }
                     Syscall::Exit

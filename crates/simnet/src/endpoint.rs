@@ -17,13 +17,16 @@ pub fn bytes_from(v: Vec<u8>) -> Bytes {
     Rc::from(v.into_boxed_slice())
 }
 
-/// A UDP datagram as seen by a receiver.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Datagram {
-    /// Sender's address.
-    pub from: SockAddr,
-    /// Payload.
-    pub data: Bytes,
+/// The two message-oriented protocols. A UDP socket and a one-to-many SCTP
+/// endpoint have one shape — bind a port, send whole messages to any peer,
+/// receive whole messages from any peer — so both are a [`MsgEp`], and the
+/// protocol is chosen once, at bind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MsgTransport {
+    /// Plain datagrams.
+    Udp,
+    /// Kernel-managed associations.
+    Sctp,
 }
 
 /// Handle to any endpoint in the network's arena.
@@ -32,36 +35,39 @@ pub type EpId = Handle<Endpoint>;
 /// One socket's kernel-side state.
 #[derive(Debug)]
 pub enum Endpoint {
-    /// A bound UDP socket.
-    Udp(UdpEp),
+    /// A bound UDP socket or one-to-many SCTP endpoint.
+    Msg(MsgEp),
     /// A TCP socket in LISTEN state.
     TcpListener(ListenEp),
     /// A TCP connection (either side).
     Tcp(TcpEp),
-    /// A one-to-many SCTP endpoint.
-    Sctp(SctpEp),
 }
 
 impl Endpoint {
     /// The host that owns this endpoint.
     pub fn host(&self) -> HostId {
         match self {
-            Endpoint::Udp(e) => e.local.host,
+            Endpoint::Msg(e) => e.local.host,
             Endpoint::TcpListener(e) => e.local.host,
             Endpoint::Tcp(e) => e.local.host,
-            Endpoint::Sctp(e) => e.local.host,
         }
     }
 }
 
-/// A bound UDP socket: unordered datagram queue with a drop threshold.
+/// A bound message socket: a UDP socket, or a one-to-many SCTP endpoint
+/// with kernel-managed associations (RFC 4168 usage, paper §6). Either
+/// queues whole messages up to a drop threshold.
 #[derive(Debug)]
-pub struct UdpEp {
+pub struct MsgEp {
+    /// The protocol, fixed at bind.
+    pub proto: MsgTransport,
     /// Local binding.
     pub local: SockAddr,
-    /// Received datagrams not yet read by the application.
-    pub rx: VecDeque<Datagram>,
-    /// Datagrams dropped because `rx` was full.
+    /// Received messages with their source address, not yet read.
+    pub rx: VecDeque<(SockAddr, Bytes)>,
+    /// Kernel-managed association table (SCTP only; empty under UDP).
+    pub assoc: HashMap<SockAddr, AssocState>,
+    /// Messages dropped because `rx` was full.
     pub dropped: u64,
 }
 
@@ -138,20 +144,6 @@ pub enum AssocState {
     },
     /// Messages flow with normal latency.
     Established,
-}
-
-/// A one-to-many SCTP endpoint: message-oriented, kernel-managed
-/// associations (RFC 4168 usage, paper §6).
-#[derive(Debug)]
-pub struct SctpEp {
-    /// Local binding.
-    pub local: SockAddr,
-    /// Received messages with their source association address.
-    pub rx: VecDeque<(SockAddr, Bytes)>,
-    /// Kernel-managed association table.
-    pub assoc: HashMap<SockAddr, AssocState>,
-    /// Messages dropped because `rx` was full.
-    pub dropped: u64,
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! state machine and keeps all causality in one queue.
 
 use crate::addr::{HostId, Port, SockAddr};
-use crate::endpoint::{Bytes, Datagram, EpId};
+use crate::endpoint::{Bytes, EpId};
 use crate::error::Errno;
 
 /// A frame (or protocol control message) in flight between hosts.
@@ -17,8 +17,10 @@ pub enum NetEvent {
     UdpDeliver {
         /// Destination endpoint.
         to: EpId,
-        /// The datagram.
-        dgram: Datagram,
+        /// Sender's address.
+        from: SockAddr,
+        /// Payload.
+        data: Bytes,
     },
     /// A TCP SYN arriving at `to_host:to_port`; the listener is looked up at
     /// delivery time, as in a real stack.

@@ -14,7 +14,8 @@
 //!   mechanism).
 //! * [`fault`] — deterministic fault injection: burst loss, partitions,
 //!   latency spikes, TCP resets, accept freezes (dedicated RNG stream).
-//! * [`net`] — the [`net::Network`] fabric and the UDP datagram service.
+//! * [`net`] — the [`net::Network`] fabric and the message sockets: one
+//!   endpoint type for UDP and SCTP, the protocol chosen at bind.
 //! * [`tcp`] — handshake, ordered byte streams with real segmentation,
 //!   receive-window backpressure, accept queues, TIME_WAIT.
 //! * [`sctp`] — one-to-many message endpoints with kernel-managed
@@ -31,14 +32,14 @@
 //! use siperf_simcore::time::SimTime;
 //! use siperf_simnet::addr::SockAddr;
 //! use siperf_simnet::config::NetConfig;
-//! use siperf_simnet::endpoint::bytes_from;
+//! use siperf_simnet::endpoint::{bytes_from, MsgTransport};
 //! use siperf_simnet::net::Network;
 //!
 //! let mut net = Network::new(NetConfig::lan(), 42);
 //! let server = net.add_host();
 //! let client = net.add_host();
 //! let sock = net.udp_bind(server, 5060)?;
-//! let (csock, _port) = net.udp_bind_ephemeral(client)?;
+//! let (csock, _port) = net.msg_bind_ephemeral(MsgTransport::Udp, client)?;
 //! net.udp_send(SimTime::ZERO, csock, SockAddr::new(server, 5060),
 //!              bytes_from(b"OPTIONS sip:x SIP/2.0\r\n\r\n".to_vec()))?;
 //! // The kernel would now schedule net.take_events() and deliver them.
@@ -62,7 +63,7 @@ pub mod tcp;
 
 pub use addr::{HostId, Port, SockAddr, SIP_PORT};
 pub use config::NetConfig;
-pub use endpoint::{bytes_from, Bytes, Datagram, EpId, TcpState};
+pub use endpoint::{bytes_from, Bytes, EpId, MsgTransport, TcpState};
 pub use error::Errno;
 pub use event::{NetEvent, NetOutcome};
 pub use fault::GilbertElliott;

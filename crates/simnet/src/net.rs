@@ -15,7 +15,7 @@ use siperf_simcore::time::{SimDuration, SimTime};
 
 use crate::addr::{HostId, Port, SockAddr};
 use crate::config::NetConfig;
-use crate::endpoint::{Bytes, Datagram, Endpoint, EpId, UdpEp};
+use crate::endpoint::{Bytes, Endpoint, EpId, MsgEp, MsgTransport};
 use crate::error::Errno;
 use crate::event::{NetEvent, NetOutcome};
 use crate::fault::FaultState;
@@ -55,9 +55,9 @@ pub struct NetStats {
 pub struct Network {
     pub(crate) cfg: NetConfig,
     pub(crate) eps: Arena<Endpoint>,
-    pub(crate) udp_bound: HashMap<SockAddr, EpId>,
+    /// Bound message sockets; UDP and SCTP keep separate port namespaces.
+    pub(crate) msg_bound: HashMap<(MsgTransport, SockAddr), EpId>,
     pub(crate) tcp_listeners: HashMap<SockAddr, EpId>,
-    pub(crate) sctp_bound: HashMap<SockAddr, EpId>,
     pub(crate) ports: Vec<PortPool>,
     pub(crate) ep_count: Vec<usize>,
     pub(crate) rng: SimRng,
@@ -77,9 +77,8 @@ impl Network {
         Network {
             cfg,
             eps: Arena::with_capacity(1024),
-            udp_bound: HashMap::new(),
+            msg_bound: HashMap::new(),
             tcp_listeners: HashMap::new(),
-            sctp_bound: HashMap::new(),
             ports: Vec::new(),
             ep_count: Vec::new(),
             rng: SimRng::seed_from_u64(seed ^ 0x6e65_7421),
@@ -169,10 +168,9 @@ impl Network {
     /// (data, EOF, failure, or an acceptable connection).
     pub fn readable(&self, ep: EpId) -> bool {
         match self.eps.get(ep) {
-            Some(Endpoint::Udp(u)) => !u.rx.is_empty(),
+            Some(Endpoint::Msg(m)) => !m.rx.is_empty(),
             Some(Endpoint::TcpListener(l)) => !l.queue.is_empty(),
             Some(Endpoint::Tcp(t)) => t.readable(),
-            Some(Endpoint::Sctp(s)) => !s.rx.is_empty(),
             None => true, // stale fd: let the caller observe the error
         }
     }
@@ -180,7 +178,7 @@ impl Network {
     /// Dispatches a wire event that the kernel's clock says is due.
     pub fn handle_event(&mut self, now: SimTime, ev: NetEvent) {
         match ev {
-            NetEvent::UdpDeliver { to, dgram } => self.udp_deliver(to, dgram),
+            NetEvent::UdpDeliver { to, from, data } => self.udp_deliver(to, from, data),
             NetEvent::TcpSyn {
                 to_host,
                 to_port,
@@ -209,37 +207,50 @@ impl Network {
         }
     }
 
-    // ---------------------------------------------------------------- UDP
+    // ------------------------------------------------------ message sockets
 
-    /// Binds a UDP socket on `host:port`.
+    /// Binds a UDP socket or SCTP endpoint on `host:port`; every later call
+    /// on it reads the protocol from the endpoint. UDP and SCTP keep
+    /// separate port namespaces.
     ///
     /// # Errors
     ///
     /// [`Errno::AddrInUse`] if the port is taken, [`Errno::Emfile`] if the
     /// host's descriptor budget is spent.
-    pub fn udp_bind(&mut self, host: HostId, port: Port) -> Result<EpId, Errno> {
-        let addr = SockAddr::new(host, port);
-        if self.udp_bound.contains_key(&addr) {
+    pub fn msg_bind(
+        &mut self,
+        proto: MsgTransport,
+        host: HostId,
+        port: Port,
+    ) -> Result<EpId, Errno> {
+        let local = SockAddr::new(host, port);
+        if self.msg_bound.contains_key(&(proto, local)) {
             return Err(Errno::AddrInUse);
         }
         self.charge_endpoint(host)?;
-        let ep = self.eps.insert(Endpoint::Udp(UdpEp {
-            local: addr,
+        let ep = self.eps.insert(Endpoint::Msg(MsgEp {
+            proto,
+            local,
             rx: Default::default(),
+            assoc: Default::default(),
             dropped: 0,
         }));
-        self.udp_bound.insert(addr, ep);
+        self.msg_bound.insert((proto, local), ep);
         Ok(ep)
     }
 
-    /// Binds a UDP socket on an ephemeral port of `host`.
+    /// Binds a message socket on an ephemeral port of `host`.
     ///
     /// # Errors
     ///
     /// Propagates pool exhaustion and descriptor-budget errors.
-    pub fn udp_bind_ephemeral(&mut self, host: HostId) -> Result<(EpId, Port), Errno> {
+    pub fn msg_bind_ephemeral(
+        &mut self,
+        proto: MsgTransport,
+        host: HostId,
+    ) -> Result<(EpId, Port), Errno> {
         let port = self.ports[host.0 as usize].allocate()?;
-        match self.udp_bind(host, port) {
+        match self.msg_bind(proto, host, port) {
             Ok(ep) => Ok((ep, port)),
             Err(e) => {
                 self.ports[host.0 as usize].release(port);
@@ -248,10 +259,63 @@ impl Network {
         }
     }
 
-    /// Sends one datagram from a bound socket to `to`.
+    /// [`Network::msg_bind`] for UDP, with its errors.
+    pub fn udp_bind(&mut self, host: HostId, port: Port) -> Result<EpId, Errno> {
+        self.msg_bind(MsgTransport::Udp, host, port)
+    }
+
+    /// [`Network::msg_bind`] for SCTP, with its errors.
+    pub fn sctp_bind(&mut self, host: HostId, port: Port) -> Result<EpId, Errno> {
+        self.msg_bind(MsgTransport::Sctp, host, port)
+    }
+
+    /// Non-blocking receive of one whole message with its source address.
     ///
-    /// Delivery (or loss) is resolved now; the receiving socket is resolved
-    /// at delivery time.
+    /// # Errors
+    ///
+    /// [`Errno::WouldBlock`] when no message is queued; [`Errno::BadFd`] for
+    /// endpoints that are not message sockets.
+    pub fn msg_try_recv(&mut self, ep: EpId) -> Result<(SockAddr, Bytes), Errno> {
+        match self.eps.get_mut(ep) {
+            Some(Endpoint::Msg(m)) => m.rx.pop_front().ok_or(Errno::WouldBlock),
+            _ => Err(Errno::BadFd),
+        }
+    }
+
+    /// [`Network::msg_try_recv`] under its UDP name, with its errors.
+    pub fn udp_try_recv(&mut self, ep: EpId) -> Result<(SockAddr, Bytes), Errno> {
+        self.msg_try_recv(ep)
+    }
+
+    /// [`Network::msg_try_recv`] under its SCTP name, with its errors.
+    pub fn sctp_try_recv(&mut self, ep: EpId) -> Result<(SockAddr, Bytes), Errno> {
+        self.msg_try_recv(ep)
+    }
+
+    /// The local address of a message socket speaking `proto`.
+    pub(crate) fn msg_local(&self, ep: EpId, proto: MsgTransport) -> Result<SockAddr, Errno> {
+        match self.eps.get(ep) {
+            Some(Endpoint::Msg(m)) if m.proto == proto => Ok(m.local),
+            _ => Err(Errno::BadFd),
+        }
+    }
+
+    fn close_msg(&mut self, ep: EpId) {
+        if let Some(Endpoint::Msg(m)) = self.eps.remove(ep) {
+            let addr = m.local;
+            self.msg_bound.remove(&(m.proto, addr));
+            self.uncharge_endpoint(addr.host);
+            if addr.port >= self.cfg.ephemeral_lo && addr.port <= self.cfg.ephemeral_hi {
+                self.ports[addr.host.0 as usize].release(addr.port);
+            }
+        }
+    }
+
+    // ---------------------------------------------------------------- UDP
+
+    /// Sends one datagram from a bound UDP socket to `to`.
+    ///
+    /// Delivery (or loss) and the receiving socket are resolved now.
     ///
     /// # Errors
     ///
@@ -263,10 +327,7 @@ impl Network {
         to: SockAddr,
         data: Bytes,
     ) -> Result<(), Errno> {
-        let from_addr = match self.eps.get(from) {
-            Some(Endpoint::Udp(u)) => u.local,
-            _ => return Err(Errno::BadFd),
-        };
+        let from_addr = self.msg_local(from, MsgTransport::Udp)?;
         self.stats.udp_sent += 1;
         // Draw the latency jitter *before* any drop decision so lossy and
         // clean runs consume the jitter stream identically; all loss
@@ -280,15 +341,13 @@ impl Network {
             self.stats.udp_lost += 1;
             return Ok(());
         }
-        if let Some(&dst) = self.udp_bound.get(&to) {
+        if let Some(&dst) = self.msg_bound.get(&(MsgTransport::Udp, to)) {
             self.events.push((
                 now + delay,
                 NetEvent::UdpDeliver {
                     to: dst,
-                    dgram: Datagram {
-                        from: from_addr,
-                        data,
-                    },
+                    from: from_addr,
+                    data,
                 },
             ));
         }
@@ -296,28 +355,14 @@ impl Network {
         Ok(())
     }
 
-    /// Non-blocking receive on a UDP socket.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::WouldBlock`] when the queue is empty; [`Errno::BadFd`] for
-    /// non-UDP endpoints.
-    pub fn udp_try_recv(&mut self, ep: EpId) -> Result<Datagram, Errno> {
-        match self.eps.get_mut(ep) {
-            Some(Endpoint::Udp(u)) => u.rx.pop_front().ok_or(Errno::WouldBlock),
-            Some(_) => Err(Errno::BadFd),
-            None => Err(Errno::BadFd),
-        }
-    }
-
-    fn udp_deliver(&mut self, to: EpId, dgram: Datagram) {
+    fn udp_deliver(&mut self, to: EpId, from: SockAddr, data: Bytes) {
         let cap = self.cfg.udp_rcv_queue;
-        if let Some(Endpoint::Udp(u)) = self.eps.get_mut(to) {
+        if let Some(Endpoint::Msg(u)) = self.eps.get_mut(to) {
             if u.rx.len() >= cap {
                 u.dropped += 1;
                 self.stats.udp_queue_drops += 1;
             } else {
-                u.rx.push_back(dgram);
+                u.rx.push_back((from, data));
                 self.outcomes.push(NetOutcome::Readable(to));
             }
         }
@@ -326,23 +371,10 @@ impl Network {
     /// Closes any endpoint type, releasing names, ports, and peer state.
     pub fn close(&mut self, now: SimTime, ep: EpId) {
         match self.eps.get(ep) {
-            Some(Endpoint::Udp(_)) => self.close_udp(ep),
+            Some(Endpoint::Msg(_)) => self.close_msg(ep),
             Some(Endpoint::TcpListener(_)) => self.close_listener(now, ep),
             Some(Endpoint::Tcp(_)) => self.close_tcp(now, ep),
-            Some(Endpoint::Sctp(_)) => self.close_sctp(ep),
             None => {}
-        }
-    }
-
-    fn close_udp(&mut self, ep: EpId) {
-        if let Some(Endpoint::Udp(u)) = self.eps.get(ep) {
-            let addr = u.local;
-            self.udp_bound.remove(&addr);
-            self.eps.remove(ep);
-            self.uncharge_endpoint(addr.host);
-            if addr.port >= self.cfg.ephemeral_lo && addr.port <= self.cfg.ephemeral_hi {
-                self.ports[addr.host.0 as usize].release(addr.port);
-            }
         }
     }
 }
@@ -374,7 +406,7 @@ mod tests {
     fn udp_roundtrip() {
         let (mut n, a, b) = net();
         let sa = n.udp_bind(a, 5060).unwrap();
-        let (sb, port_b) = n.udp_bind_ephemeral(b).unwrap();
+        let (sb, port_b) = n.msg_bind_ephemeral(MsgTransport::Udp, b).unwrap();
         n.udp_send(
             SimTime::ZERO,
             sb,
@@ -384,9 +416,9 @@ mod tests {
         .unwrap();
         let outcomes = pump(&mut n);
         assert_eq!(outcomes, vec![NetOutcome::Readable(sa)]);
-        let d = n.udp_try_recv(sa).unwrap();
-        assert_eq!(&*d.data, b"INVITE");
-        assert_eq!(d.from, SockAddr::new(b, port_b));
+        let (from, data) = n.udp_try_recv(sa).unwrap();
+        assert_eq!(&*data, b"INVITE");
+        assert_eq!(from, SockAddr::new(b, port_b));
         assert_eq!(n.udp_try_recv(sa), Err(Errno::WouldBlock));
         assert_eq!(n.stats().udp_sent, 1);
     }
@@ -401,7 +433,7 @@ mod tests {
     #[test]
     fn udp_to_unbound_port_vanishes() {
         let (mut n, a, b) = net();
-        let (sb, _) = n.udp_bind_ephemeral(b).unwrap();
+        let (sb, _) = n.msg_bind_ephemeral(MsgTransport::Udp, b).unwrap();
         n.udp_send(SimTime::ZERO, sb, SockAddr::new(a, 9), bytes_from(vec![1]))
             .unwrap();
         assert!(pump(&mut n).is_empty());
@@ -415,7 +447,7 @@ mod tests {
         let a = n.add_host();
         let b = n.add_host();
         let sa = n.udp_bind(a, 5060).unwrap();
-        let (sb, _) = n.udp_bind_ephemeral(b).unwrap();
+        let (sb, _) = n.msg_bind_ephemeral(MsgTransport::Udp, b).unwrap();
         n.udp_send(
             SimTime::ZERO,
             sb,
@@ -436,7 +468,7 @@ mod tests {
         let a = n.add_host();
         let b = n.add_host();
         let _sa = n.udp_bind(a, 5060).unwrap();
-        let (sb, _) = n.udp_bind_ephemeral(b).unwrap();
+        let (sb, _) = n.msg_bind_ephemeral(MsgTransport::Udp, b).unwrap();
         for _ in 0..5 {
             n.udp_send(
                 SimTime::ZERO,
@@ -454,13 +486,49 @@ mod tests {
     #[test]
     fn udp_close_releases_name_and_port() {
         let (mut n, a, _) = net();
-        let (ep, port) = n.udp_bind_ephemeral(a).unwrap();
+        let (ep, port) = n.msg_bind_ephemeral(MsgTransport::Udp, a).unwrap();
         let avail = n.ports_available(a);
         n.close(SimTime::ZERO, ep);
         assert_eq!(n.ports_available(a), avail + 1);
         assert_eq!(n.endpoints_on(a), 0);
         // Name free again.
         n.udp_bind(a, port).unwrap();
+    }
+
+    #[test]
+    fn udp_and_sctp_keep_separate_port_namespaces() {
+        let (mut n, a, b) = net();
+        let udp = n.udp_bind(a, 5060).unwrap();
+        let sctp = n.sctp_bind(a, 5060).unwrap();
+        let (sb, _) = n.msg_bind_ephemeral(MsgTransport::Udp, b).unwrap();
+        n.udp_send(
+            SimTime::ZERO,
+            sb,
+            SockAddr::new(a, 5060),
+            bytes_from(vec![1]),
+        )
+        .unwrap();
+        assert_eq!(pump(&mut n), vec![NetOutcome::Readable(udp)]);
+        assert_eq!(n.sctp_try_recv(sctp), Err(Errno::WouldBlock));
+        n.close(SimTime::ZERO, udp);
+        assert_eq!(n.sctp_bind(a, 5060), Err(Errno::AddrInUse));
+        let udp = n.udp_bind(a, 5060).unwrap();
+        n.close(SimTime::ZERO, sctp);
+        assert_eq!(n.udp_bind(a, 5060), Err(Errno::AddrInUse));
+        n.sctp_bind(a, 5060).unwrap();
+        assert_eq!(n.endpoints_on(a), 2);
+        n.close(SimTime::ZERO, udp);
+        assert_eq!(n.endpoints_on(a), 1);
+    }
+
+    #[test]
+    fn sctp_close_returns_the_ephemeral_port() {
+        let (mut n, a, _) = net();
+        let (ep, port) = n.msg_bind_ephemeral(MsgTransport::Sctp, a).unwrap();
+        let avail = n.ports_available(a);
+        n.close(SimTime::ZERO, ep);
+        assert_eq!(n.ports_available(a), avail + 1);
+        n.sctp_bind(a, port).unwrap();
     }
 
     #[test]

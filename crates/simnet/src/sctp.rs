@@ -17,50 +17,12 @@
 use siperf_simcore::time::SimTime;
 
 use crate::addr::{HostId, Port, SockAddr};
-use crate::endpoint::{AssocState, Bytes, Endpoint, EpId, SctpEp};
+use crate::endpoint::{AssocState, Bytes, Endpoint, EpId, MsgTransport};
 use crate::error::Errno;
 use crate::event::{NetEvent, NetOutcome};
 use crate::net::Network;
 
 impl Network {
-    /// Binds a one-to-many SCTP endpoint on `host:port`.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::AddrInUse`] if the port is taken; [`Errno::Emfile`] if the
-    /// host's descriptor budget is spent.
-    pub fn sctp_bind(&mut self, host: HostId, port: Port) -> Result<EpId, Errno> {
-        let addr = SockAddr::new(host, port);
-        if self.sctp_bound.contains_key(&addr) {
-            return Err(Errno::AddrInUse);
-        }
-        self.charge_endpoint(host)?;
-        let ep = self.eps.insert(Endpoint::Sctp(SctpEp {
-            local: addr,
-            rx: Default::default(),
-            assoc: Default::default(),
-            dropped: 0,
-        }));
-        self.sctp_bound.insert(addr, ep);
-        Ok(ep)
-    }
-
-    /// Binds an SCTP endpoint on an ephemeral port.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool exhaustion and descriptor-budget errors.
-    pub fn sctp_bind_ephemeral(&mut self, host: HostId) -> Result<(EpId, Port), Errno> {
-        let port = self.ports[host.0 as usize].allocate()?;
-        match self.sctp_bind(host, port) {
-            Ok(ep) => Ok((ep, port)),
-            Err(e) => {
-                self.ports[host.0 as usize].release(port);
-                Err(e)
-            }
-        }
-    }
-
     /// Sends one message to `to`, implicitly setting up the association on
     /// first use (the kernel's job, not the application's).
     ///
@@ -74,40 +36,34 @@ impl Network {
         to: SockAddr,
         data: Bytes,
     ) -> Result<(), Errno> {
-        let from_host = match self.eps.get(from) {
-            Some(Endpoint::Sctp(e)) => e.local.host,
-            _ => return Err(Errno::BadFd),
-        };
+        let from_addr = self.msg_local(from, MsgTransport::Sctp)?;
         // SCTP is reliable: link faults stall the stream, never lose a
         // message.
-        let fault_extra = self.link_extra(now, from_host, to.host);
+        let fault_extra = self.link_extra(now, from_addr.host, to.host);
         let base_delay = self.delay(now) + fault_extra;
         let setup = self.cfg.sctp_assoc_setup;
         let one_way = self.cfg.one_way_latency;
-        let (from_addr, deliver_at) = {
-            let ep = match self.eps.get_mut(from) {
-                Some(Endpoint::Sctp(e)) => e,
-                _ => return Err(Errno::BadFd),
-            };
-            let earliest = match ep.assoc.get(&to).copied() {
-                Some(AssocState::Established) => now,
-                Some(AssocState::Setup { ready_at }) => {
-                    if ready_at <= now {
-                        ep.assoc.insert(to, AssocState::Established);
-                        now
-                    } else {
-                        ready_at
-                    }
-                }
-                None => {
-                    // Four-way handshake: two round trips before data flows.
-                    let ready_at = now + one_way * 4 + setup;
-                    ep.assoc.insert(to, AssocState::Setup { ready_at });
+        let Some(Endpoint::Msg(ep)) = self.eps.get_mut(from) else {
+            unreachable!("msg_local checked the endpoint");
+        };
+        let earliest = match ep.assoc.get(&to).copied() {
+            Some(AssocState::Established) => now,
+            Some(AssocState::Setup { ready_at }) => {
+                if ready_at <= now {
+                    ep.assoc.insert(to, AssocState::Established);
+                    now
+                } else {
                     ready_at
                 }
-            };
-            (ep.local, earliest.max(now) + base_delay)
+            }
+            None => {
+                // Four-way handshake: two round trips before data flows.
+                let ready_at = now + one_way * 4 + setup;
+                ep.assoc.insert(to, AssocState::Setup { ready_at });
+                ready_at
+            }
         };
+        let deliver_at = earliest.max(now) + base_delay;
         self.events.push((
             deliver_at,
             NetEvent::SctpDeliver {
@@ -120,19 +76,6 @@ impl Network {
         Ok(())
     }
 
-    /// Non-blocking receive of one whole message with its source address.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::WouldBlock`] when no message is queued; [`Errno::BadFd`] on
-    /// non-SCTP endpoints.
-    pub fn sctp_try_recv(&mut self, ep: EpId) -> Result<(SockAddr, Bytes), Errno> {
-        match self.eps.get_mut(ep) {
-            Some(Endpoint::Sctp(e)) => e.rx.pop_front().ok_or(Errno::WouldBlock),
-            _ => Err(Errno::BadFd),
-        }
-    }
-
     pub(crate) fn sctp_deliver(
         &mut self,
         to_host: HostId,
@@ -140,12 +83,13 @@ impl Network {
         from: SockAddr,
         data: Bytes,
     ) {
-        let Some(&ep) = self.sctp_bound.get(&SockAddr::new(to_host, to_port)) else {
+        let to = SockAddr::new(to_host, to_port);
+        let Some(&ep) = self.msg_bound.get(&(MsgTransport::Sctp, to)) else {
             return; // no endpoint: ABORT chunk in real SCTP, vanishes here
         };
         let cap = self.cfg.udp_rcv_queue;
         let mut new_assoc = false;
-        if let Some(Endpoint::Sctp(e)) = self.eps.get_mut(ep) {
+        if let Some(Endpoint::Msg(e)) = self.eps.get_mut(ep) {
             if let std::collections::hash_map::Entry::Vacant(slot) = e.assoc.entry(from) {
                 // Receiver side of the handshake: the kernel records the
                 // association so replies flow without another setup.
@@ -165,23 +109,11 @@ impl Network {
         }
     }
 
-    pub(crate) fn close_sctp(&mut self, ep: EpId) {
-        if let Some(Endpoint::Sctp(e)) = self.eps.get(ep) {
-            let addr = e.local;
-            self.sctp_bound.remove(&addr);
-            self.eps.remove(ep);
-            self.uncharge_endpoint(addr.host);
-            if addr.port >= self.cfg.ephemeral_lo && addr.port <= self.cfg.ephemeral_hi {
-                self.ports[addr.host.0 as usize].release(addr.port);
-            }
-        }
-    }
-
     /// Number of live associations on an SCTP endpoint (observability for
     /// tests and reports).
     pub fn sctp_assoc_count(&self, ep: EpId) -> usize {
         match self.eps.get(ep) {
-            Some(Endpoint::Sctp(e)) => e.assoc.len(),
+            Some(Endpoint::Msg(e)) => e.assoc.len(),
             _ => 0,
         }
     }
@@ -239,7 +171,7 @@ mod tests {
     fn message_roundtrip_with_boundaries() {
         let (mut h, a, b) = H::new();
         let server = h.net.sctp_bind(b, 5060).unwrap();
-        let (client, cport) = h.net.sctp_bind_ephemeral(a).unwrap();
+        let (client, cport) = h.net.msg_bind_ephemeral(MsgTransport::Sctp, a).unwrap();
         h.net
             .sctp_send(
                 h.now,
@@ -269,7 +201,7 @@ mod tests {
     fn first_exchange_pays_association_setup() {
         let (mut h, a, b) = H::new();
         let _server = h.net.sctp_bind(b, 5060).unwrap();
-        let (client, _) = h.net.sctp_bind_ephemeral(a).unwrap();
+        let (client, _) = h.net.msg_bind_ephemeral(MsgTransport::Sctp, a).unwrap();
         h.net
             .sctp_send(h.now, client, SockAddr::new(b, 5060), bytes_from(vec![1]))
             .unwrap();
@@ -297,7 +229,7 @@ mod tests {
     fn receiver_learns_association_for_replies() {
         let (mut h, a, b) = H::new();
         let server = h.net.sctp_bind(b, 5060).unwrap();
-        let (client, cport) = h.net.sctp_bind_ephemeral(a).unwrap();
+        let (client, cport) = h.net.msg_bind_ephemeral(MsgTransport::Sctp, a).unwrap();
         h.net
             .sctp_send(h.now, client, SockAddr::new(b, 5060), bytes_from(vec![1]))
             .unwrap();
@@ -330,7 +262,7 @@ mod tests {
     #[test]
     fn message_to_unbound_port_vanishes() {
         let (mut h, a, b) = H::new();
-        let (client, _) = h.net.sctp_bind_ephemeral(a).unwrap();
+        let (client, _) = h.net.msg_bind_ephemeral(MsgTransport::Sctp, a).unwrap();
         h.net
             .sctp_send(h.now, client, SockAddr::new(b, 9999), bytes_from(vec![1]))
             .unwrap();

@@ -43,14 +43,12 @@ use crate::syscall::{Fd, IpcMsg, MsgTransport, SysResult, Syscall};
 /// What a descriptor refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FdKind {
-    /// A UDP socket.
-    Udp(EpId),
+    /// A UDP socket or SCTP endpoint; the protocol was chosen at bind.
+    Msg(MsgTransport, EpId),
     /// A TCP listening socket.
     TcpListen(EpId),
     /// A TCP connection.
     Tcp(EpId),
-    /// An SCTP endpoint.
-    Sctp(EpId),
     /// One side of an IPC channel.
     Ipc(ChanId, Side),
 }
@@ -58,7 +56,7 @@ pub enum FdKind {
 impl FdKind {
     fn endpoint(self) -> Option<EpId> {
         match self {
-            FdKind::Udp(e) | FdKind::TcpListen(e) | FdKind::Tcp(e) | FdKind::Sctp(e) => Some(e),
+            FdKind::Msg(_, e) | FdKind::TcpListen(e) | FdKind::Tcp(e) => Some(e),
             FdKind::Ipc(..) => None,
         }
     }
@@ -334,10 +332,7 @@ impl Kernel {
         port: siperf_simnet::Port,
         pids: &[ProcId],
     ) -> Result<Vec<Fd>, Errno> {
-        let kind = match transport {
-            MsgTransport::Udp => FdKind::Udp(self.net.udp_bind(host, port)?),
-            MsgTransport::Sctp => FdKind::Sctp(self.net.sctp_bind(host, port)?),
-        };
+        let kind = FdKind::Msg(transport, self.net.msg_bind(transport, host, port)?);
         Ok(pids.iter().map(|&pid| self.install_fd(pid, kind)).collect())
     }
 
@@ -1030,17 +1025,20 @@ impl Kernel {
             Syscall::Sleep(_) | Syscall::SleepUntil(_) => (c.sleep, "kernel/nanosleep"),
             Syscall::Yield => (c.sched_yield, "kernel/sched_yield"),
             Syscall::Exit => (c.compute_min, "kernel/exit"),
-            Syscall::UdpBind { .. } | Syscall::UdpBindEphemeral => (c.bind, "kernel/bind"),
-            Syscall::UdpSend { .. } => (c.udp_send, "kernel/udp_send"),
-            Syscall::UdpRecv { .. } => (c.udp_recv, "kernel/udp_recv"),
+            Syscall::MsgBind { .. } | Syscall::MsgBindEphemeral { .. } => (c.bind, "kernel/bind"),
+            Syscall::MsgSend { fd, .. } => match self.fd_kind(pid, *fd) {
+                Ok(FdKind::Msg(MsgTransport::Sctp, _)) => (c.sctp_send, "kernel/sctp_send"),
+                _ => (c.udp_send, "kernel/udp_send"),
+            },
+            Syscall::MsgRecv { fd } => match self.fd_kind(pid, *fd) {
+                Ok(FdKind::Msg(MsgTransport::Sctp, _)) => (c.sctp_recv, "kernel/sctp_recv"),
+                _ => (c.udp_recv, "kernel/udp_recv"),
+            },
             Syscall::TcpListen { .. } => (c.bind, "kernel/listen"),
             Syscall::TcpConnect { .. } => (c.tcp_connect, "kernel/tcp_connect"),
             Syscall::TcpAccept { .. } => (c.tcp_accept, "kernel/tcp_accept"),
             Syscall::TcpSend { .. } => (c.tcp_send, "kernel/tcp_send"),
             Syscall::TcpRecv { .. } => (c.tcp_recv, "kernel/tcp_recv"),
-            Syscall::SctpBind { .. } | Syscall::SctpBindEphemeral => (c.bind, "kernel/bind"),
-            Syscall::SctpSend { .. } => (c.sctp_send, "kernel/sctp_send"),
-            Syscall::SctpRecv { .. } => (c.sctp_recv, "kernel/sctp_recv"),
             Syscall::Close { fd } => match self.fd_kind(pid, *fd) {
                 // TCP teardown is costlier than releasing other sockets.
                 Ok(FdKind::Tcp(_)) => (c.tcp_close, "kernel/tcp_close"),
@@ -1103,31 +1101,33 @@ impl Kernel {
                 }
             }
             S::Exit => unreachable!("Exit handled at resume"),
-            S::UdpBind { port } => match self.net.udp_bind(host, *port) {
-                Ok(ep) => Ok(SysResult::NewFd(self.install_fd(pid, FdKind::Udp(ep)))),
+            S::MsgBind { proto, port } => match self.net.msg_bind(*proto, host, *port) {
+                Ok(ep) => Ok(SysResult::NewFd(
+                    self.install_fd(pid, FdKind::Msg(*proto, ep)),
+                )),
                 Err(e) => Ok(SysResult::Err(e)),
             },
-            S::UdpBindEphemeral => match self.net.udp_bind_ephemeral(host) {
+            S::MsgBindEphemeral { proto } => match self.net.msg_bind_ephemeral(*proto, host) {
                 Ok((ep, port)) => Ok(SysResult::NewFdPort {
-                    fd: self.install_fd(pid, FdKind::Udp(ep)),
+                    fd: self.install_fd(pid, FdKind::Msg(*proto, ep)),
                     port,
                 }),
                 Err(e) => Ok(SysResult::Err(e)),
             },
-            S::UdpSend { fd, to, data } => match self.fd_kind(pid, *fd) {
-                Ok(FdKind::Udp(ep)) => match self.net.udp_send(self.now, ep, *to, data.clone()) {
-                    Ok(()) => Ok(SysResult::Done),
-                    Err(e) => Ok(SysResult::Err(e)),
-                },
+            S::MsgSend { fd, to, data } => match self.fd_kind(pid, *fd) {
+                Ok(FdKind::Msg(proto, ep)) => {
+                    let sent = match proto {
+                        MsgTransport::Udp => self.net.udp_send(self.now, ep, *to, data.clone()),
+                        MsgTransport::Sctp => self.net.sctp_send(self.now, ep, *to, data.clone()),
+                    };
+                    Ok(sent.map_or_else(SysResult::Err, |()| SysResult::Done))
+                }
                 Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
                 Err(e) => Ok(SysResult::Err(e)),
             },
-            S::UdpRecv { fd } => match self.fd_kind(pid, *fd) {
-                Ok(FdKind::Udp(ep)) => match self.net.udp_try_recv(ep) {
-                    Ok(d) => Ok(SysResult::Datagram {
-                        from: d.from,
-                        data: d.data,
-                    }),
+            S::MsgRecv { fd } => match self.fd_kind(pid, *fd) {
+                Ok(FdKind::Msg(_, ep)) => match self.net.msg_try_recv(ep) {
+                    Ok((from, data)) => Ok(SysResult::Msg { from, data }),
                     Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
                     Err(e) => Ok(SysResult::Err(e)),
                 },
@@ -1177,34 +1177,6 @@ impl Kernel {
                             Ok(SysResult::Data(data))
                         }
                     }
-                    Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
-                    Err(e) => Ok(SysResult::Err(e)),
-                },
-                Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
-                Err(e) => Ok(SysResult::Err(e)),
-            },
-            S::SctpBind { port } => match self.net.sctp_bind(host, *port) {
-                Ok(ep) => Ok(SysResult::NewFd(self.install_fd(pid, FdKind::Sctp(ep)))),
-                Err(e) => Ok(SysResult::Err(e)),
-            },
-            S::SctpBindEphemeral => match self.net.sctp_bind_ephemeral(host) {
-                Ok((ep, port)) => Ok(SysResult::NewFdPort {
-                    fd: self.install_fd(pid, FdKind::Sctp(ep)),
-                    port,
-                }),
-                Err(e) => Ok(SysResult::Err(e)),
-            },
-            S::SctpSend { fd, to, data } => match self.fd_kind(pid, *fd) {
-                Ok(FdKind::Sctp(ep)) => match self.net.sctp_send(self.now, ep, *to, data.clone()) {
-                    Ok(()) => Ok(SysResult::Done),
-                    Err(e) => Ok(SysResult::Err(e)),
-                },
-                Ok(_) => Ok(SysResult::Err(Errno::InvalidOp)),
-                Err(e) => Ok(SysResult::Err(e)),
-            },
-            S::SctpRecv { fd } => match self.fd_kind(pid, *fd) {
-                Ok(FdKind::Sctp(ep)) => match self.net.sctp_try_recv(ep) {
-                    Ok((from, data)) => Ok(SysResult::SctpMsg { from, data }),
                     Err(Errno::WouldBlock) => Err(WaitCond::EpRead(ep)),
                     Err(e) => Ok(SysResult::Err(e)),
                 },
@@ -1319,17 +1291,12 @@ impl Kernel {
         // if the sender closes its copy before delivery).
         let passed = match msg.fd {
             Some(passed_fd) => match self.fd_kind(pid, passed_fd) {
-                Ok(
-                    kind @ (FdKind::Udp(_)
-                    | FdKind::Tcp(_)
-                    | FdKind::TcpListen(_)
-                    | FdKind::Sctp(_)),
-                ) => {
+                Ok(FdKind::Ipc(..)) => return Ok(SysResult::Err(Errno::InvalidOp)),
+                Ok(kind) => {
                     let ep = kind.endpoint().expect("net fd");
                     *self.ep_refs.entry(ep).or_insert(0) += 1;
                     Some(kind)
                 }
-                Ok(FdKind::Ipc(..)) => return Ok(SysResult::Err(Errno::InvalidOp)),
                 Err(e) => return Ok(SysResult::Err(e)),
             },
             None => None,

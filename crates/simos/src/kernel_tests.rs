@@ -13,6 +13,7 @@ use crate::cost::CostModel;
 use crate::ipc::Side;
 use crate::kernel::{Kernel, RunOutcome};
 use crate::process::{Nice, ResumeCtx};
+use crate::syscall::MsgTransport::{self, Sctp, Udp};
 use crate::syscall::{Fd, IpcMsg, SysResult, Syscall};
 
 fn secs(s: u64) -> SimTime {
@@ -21,6 +22,10 @@ fn secs(s: u64) -> SimTime {
 
 fn free_kernel() -> Kernel {
     Kernel::new(NetConfig::lan(), CostModel::free(), 9)
+}
+
+fn bind(proto: MsgTransport, port: u16) -> Syscall {
+    Syscall::MsgBind { proto, port }
 }
 
 #[test]
@@ -68,13 +73,13 @@ fn udp_echo_roundtrip_between_hosts() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             sstep += 1;
             match sstep {
-                1 => Syscall::UdpBind { port: 5060 },
+                1 => bind(Udp, 5060),
                 2 => {
                     sfd = last.expect_fd();
-                    Syscall::UdpRecv { fd: sfd }
+                    Syscall::MsgRecv { fd: sfd }
                 }
                 3 => match last {
-                    SysResult::Datagram { from, data } => Syscall::UdpSend {
+                    SysResult::Msg { from, data } => Syscall::MsgSend {
                         fd: sfd,
                         to: from,
                         data,
@@ -97,18 +102,18 @@ fn udp_echo_roundtrip_between_hosts() {
         Box::new(move |ctx: &mut ResumeCtx, last: SysResult| {
             cstep += 1;
             match cstep {
-                1 => Syscall::UdpBindEphemeral,
+                1 => Syscall::MsgBindEphemeral { proto: Udp },
                 2 => {
                     cfd = last.expect_fd();
-                    Syscall::UdpSend {
+                    Syscall::MsgSend {
                         fd: cfd,
                         to: SockAddr::new(siperf_simnet::HostId(0), 5060),
                         data: bytes_from(b"ping".to_vec()),
                     }
                 }
-                3 => Syscall::UdpRecv { fd: cfd },
+                3 => Syscall::MsgRecv { fd: cfd },
                 4 => {
-                    if let SysResult::Datagram { data, .. } = last {
+                    if let SysResult::Msg { data, .. } = last {
                         got2.borrow_mut().push(data.to_vec());
                     }
                     assert!(ctx.now > SimTime::ZERO);
@@ -277,10 +282,10 @@ fn poll_times_out_then_reports_ready_fd() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             step += 1;
             match step {
-                1 => Syscall::UdpBind { port: 1000 },
+                1 => bind(Udp, 1000),
                 2 => {
                     fd_a = last.expect_fd();
-                    Syscall::UdpBind { port: 2000 }
+                    bind(Udp, 2000)
                 }
                 3 => {
                     fd_b = last.expect_fd();
@@ -305,7 +310,7 @@ fn poll_times_out_then_reports_ready_fd() {
                         }
                         other => panic!("expected ready, got {other:?}"),
                     }
-                    Syscall::UdpRecv { fd: fd_b }
+                    Syscall::MsgRecv { fd: fd_b }
                 }
                 _ => Syscall::Exit,
             }
@@ -321,12 +326,12 @@ fn poll_times_out_then_reports_ready_fd() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             cstep += 1;
             match cstep {
-                1 => Syscall::UdpBindEphemeral,
+                1 => Syscall::MsgBindEphemeral { proto: Udp },
                 2 => {
                     cfd = last.expect_fd();
                     Syscall::Sleep(SimDuration::from_millis(20))
                 }
-                3 => Syscall::UdpSend {
+                3 => Syscall::MsgSend {
                     fd: cfd,
                     to: SockAddr::new(siperf_simnet::HostId(0), 2000),
                     data: bytes_from(vec![42]),
@@ -361,12 +366,12 @@ fn ipc_fd_passing_transfers_working_descriptor() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             sstep += 1;
             match sstep {
-                1 => Syscall::UdpBind { port: 5060 },
-                2 => Syscall::UdpRecv {
+                1 => bind(Udp, 5060),
+                2 => Syscall::MsgRecv {
                     fd: last.expect_fd(),
                 },
                 3 => {
-                    if let SysResult::Datagram { from, .. } = last {
+                    if let SysResult::Msg { from, .. } = last {
                         rec.borrow_mut().push(from.port);
                     }
                     Syscall::Exit
@@ -395,7 +400,7 @@ fn ipc_fd_passing_transfers_working_descriptor() {
                 },
                 2 => {
                     ipc_fd = last.expect_fd();
-                    Syscall::UdpBindEphemeral
+                    Syscall::MsgBindEphemeral { proto: Udp }
                 }
                 3 => {
                     if let SysResult::NewFdPort { fd, port } = last {
@@ -432,7 +437,7 @@ fn ipc_fd_passing_transfers_working_descriptor() {
                 3 => match last {
                     SysResult::Ipc(msg) => {
                         assert_eq!(msg.kind, 7);
-                        Syscall::UdpSend {
+                        Syscall::MsgSend {
                             fd: msg.fd.expect("descriptor passed"),
                             to: SockAddr::new(siperf_simnet::HostId(1), 5060),
                             data: bytes_from(b"via passed fd".to_vec()),
@@ -708,11 +713,11 @@ fn identical_seeds_replay_identically() {
             Box::new(move |_: &mut ResumeCtx, last: SysResult| {
                 sstep += 1;
                 match sstep {
-                    1 => Syscall::UdpBind { port: 5060 },
-                    2 => Syscall::UdpRecv {
+                    1 => bind(Udp, 5060),
+                    2 => Syscall::MsgRecv {
                         fd: last.expect_fd(),
                     },
-                    n if n < 30 => Syscall::UdpRecv { fd: Fd(0) },
+                    n if n < 30 => Syscall::MsgRecv { fd: Fd(0) },
                     _ => Syscall::Exit,
                 }
             }),
@@ -727,12 +732,12 @@ fn identical_seeds_replay_identically() {
                 Box::new(move |_: &mut ResumeCtx, last: SysResult| {
                     cstep += 1;
                     match cstep {
-                        1 => Syscall::UdpBindEphemeral,
+                        1 => Syscall::MsgBindEphemeral { proto: Udp },
                         n if n < 9 => {
                             if n == 2 {
                                 fd = last.expect_fd();
                             }
-                            Syscall::UdpSend {
+                            Syscall::MsgSend {
                                 fd,
                                 to: SockAddr::new(siperf_simnet::HostId(0), 5060),
                                 data: bytes_from(vec![i as u8]),
@@ -766,7 +771,7 @@ fn close_releases_endpoint_budget() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             step += 1;
             match step {
-                1 => Syscall::UdpBind { port: 5060 },
+                1 => bind(Udp, 5060),
                 2 => {
                     fd = last.expect_fd();
                     Syscall::Close { fd }
@@ -800,8 +805,8 @@ fn exit_closes_leaked_descriptors() {
         Box::new(move |_: &mut ResumeCtx, _| {
             step += 1;
             match step {
-                1 => Syscall::UdpBind { port: 5060 },
-                2 => Syscall::UdpBind { port: 5061 },
+                1 => bind(Udp, 5060),
+                2 => bind(Udp, 5061),
                 _ => Syscall::Exit,
             }
         }),
@@ -827,15 +832,15 @@ fn sctp_message_roundtrip_via_syscalls() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             sstep += 1;
             match sstep {
-                1 => Syscall::SctpBind { port: 5060 },
+                1 => bind(Sctp, 5060),
                 2 => {
                     sfd = last.expect_fd();
-                    Syscall::SctpRecv { fd: sfd }
+                    Syscall::MsgRecv { fd: sfd }
                 }
                 3 => match last {
-                    SysResult::SctpMsg { from, data } => {
+                    SysResult::Msg { from, data } => {
                         g.borrow_mut().push(data.to_vec());
-                        Syscall::SctpSend {
+                        Syscall::MsgSend {
                             fd: sfd,
                             to: from,
                             data: bytes_from(b"ack".to_vec()),
@@ -858,18 +863,18 @@ fn sctp_message_roundtrip_via_syscalls() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             cstep += 1;
             match cstep {
-                1 => Syscall::SctpBindEphemeral,
+                1 => Syscall::MsgBindEphemeral { proto: Sctp },
                 2 => {
                     cfd = last.expect_fd();
-                    Syscall::SctpSend {
+                    Syscall::MsgSend {
                         fd: cfd,
                         to: SockAddr::new(siperf_simnet::HostId(0), 5060),
                         data: bytes_from(b"hello".to_vec()),
                     }
                 }
-                3 => Syscall::SctpRecv { fd: cfd },
+                3 => Syscall::MsgRecv { fd: cfd },
                 4 => {
-                    if let SysResult::SctpMsg { data, .. } = last {
+                    if let SysResult::Msg { data, .. } = last {
                         g2.borrow_mut().push(data.to_vec());
                     }
                     Syscall::Exit
@@ -884,6 +889,13 @@ fn sctp_message_roundtrip_via_syscalls() {
         got.borrow().as_slice(),
         &[b"hello".to_vec(), b"ack".to_vec()]
     );
+    // The cost follows the descriptor's protocol, chosen at bind.
+    for host in [sh, ch] {
+        let p = k.profiler(host);
+        assert!(p.ns_for("kernel/sctp_send") > 0);
+        assert!(p.ns_for("kernel/sctp_recv") > 0);
+        assert_eq!(p.ns_for("kernel/udp_send") + p.ns_for("kernel/udp_recv"), 0);
+    }
 }
 
 #[test]
@@ -903,12 +915,12 @@ fn threads_share_one_descriptor_table() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             sstep += 1;
             match sstep {
-                1 => Syscall::UdpBind { port: 5060 },
-                2 => Syscall::UdpRecv {
+                1 => bind(Udp, 5060),
+                2 => Syscall::MsgRecv {
                     fd: last.expect_fd(),
                 },
                 3 => {
-                    if let SysResult::Datagram { data, .. } = last {
+                    if let SysResult::Msg { data, .. } = last {
                         g.borrow_mut().push(data.to_vec());
                     }
                     Syscall::Exit
@@ -929,7 +941,7 @@ fn threads_share_one_descriptor_table() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             astep += 1;
             match astep {
-                1 => Syscall::UdpBindEphemeral,
+                1 => Syscall::MsgBindEphemeral { proto: Udp },
                 2 => {
                     *fc.borrow_mut() = Some(last.expect_fd());
                     Syscall::Sleep(SimDuration::from_millis(50))
@@ -951,7 +963,7 @@ fn threads_share_one_descriptor_table() {
             match bstep {
                 1 => Syscall::Sleep(SimDuration::from_millis(10)),
                 2 => match *fc2.borrow() {
-                    Some(fd) => Syscall::UdpSend {
+                    Some(fd) => Syscall::MsgSend {
                         fd,
                         to: SockAddr::new(siperf_simnet::HostId(1), 5060),
                         data: bytes_from(b"from sibling thread".to_vec()),
@@ -985,7 +997,7 @@ fn shared_fd_table_survives_first_thread_exit() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             astep += 1;
             match astep {
-                1 => Syscall::UdpBind { port: 7000 },
+                1 => bind(Udp, 7000),
                 _ => {
                     *fc.borrow_mut() = Some(last.expect_fd());
                     Syscall::Exit
@@ -1004,7 +1016,7 @@ fn shared_fd_table_survives_first_thread_exit() {
             bstep += 1;
             match bstep {
                 1 => Syscall::Sleep(SimDuration::from_millis(20)),
-                2 => Syscall::UdpSend {
+                2 => Syscall::MsgSend {
                     fd: fd_cell.borrow().expect("bound"),
                     to: SockAddr::new(siperf_simnet::HostId(0), 7000),
                     data: bytes_from(vec![1]),
@@ -1141,7 +1153,7 @@ fn kill_cancels_pending_timers_and_closes_descriptors() {
         Box::new(move |_: &mut ResumeCtx, _| {
             step += 1;
             match step {
-                1 => Syscall::UdpBind { port: 6000 },
+                1 => bind(Udp, 6000),
                 2 => Syscall::Sleep(SimDuration::from_millis(50)),
                 _ => {
                     *woke2.borrow_mut() = true;
@@ -1181,13 +1193,13 @@ fn dup_to_keeps_a_socket_alive_across_the_donor_exit() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             rstep += 1;
             match rstep {
-                1 => Syscall::UdpBind { port: 7000 },
+                1 => bind(Udp, 7000),
                 2 => {
                     let fd = last.expect_fd();
-                    Syscall::UdpRecv { fd }
+                    Syscall::MsgRecv { fd }
                 }
                 _ => {
-                    if let SysResult::Datagram { data, .. } = last {
+                    if let SysResult::Msg { data, .. } = last {
                         got2.borrow_mut().extend_from_slice(&data);
                     }
                     Syscall::Exit
@@ -1208,7 +1220,7 @@ fn dup_to_keeps_a_socket_alive_across_the_donor_exit() {
         Box::new(move |_: &mut ResumeCtx, last: SysResult| {
             dstep += 1;
             match dstep {
-                1 => Syscall::UdpBind { port: 6001 },
+                1 => bind(Udp, 6001),
                 _ => {
                     if dstep == 2 {
                         *donor_fd2.borrow_mut() = Some(last.expect_fd());
@@ -1231,7 +1243,7 @@ fn dup_to_keeps_a_socket_alive_across_the_donor_exit() {
         Box::new(move |_: &mut ResumeCtx, _| {
             hstep += 1;
             match hstep {
-                1 => Syscall::UdpSend {
+                1 => Syscall::MsgSend {
                     fd: heir_fd2.borrow().expect("dup before first run"),
                     to: SockAddr::new(siperf_simnet::HostId(1), 7000),
                     data: bytes_from(b"hi".to_vec()),
@@ -1246,4 +1258,55 @@ fn dup_to_keeps_a_socket_alive_across_the_donor_exit() {
 
     k.run_until(secs(1));
     assert_eq!(&*got.borrow(), b"hi", "the dup'd socket must still work");
+}
+
+#[test]
+fn message_calls_on_other_descriptors_fail() {
+    let mut k = free_kernel();
+    let h = k.add_host(1);
+    let chan = k.create_ipc_pair(4);
+    let send = |fd| Syscall::MsgSend {
+        fd,
+        to: SockAddr::new(h, 9),
+        data: bytes_from(b"x".to_vec()),
+    };
+    let recv = |fd| Syscall::MsgRecv { fd };
+    // The listener takes fd0 and the channel fd1; fd0 is then closed.
+    let mut script = vec![
+        Syscall::TcpListen {
+            port: 5060,
+            backlog: 8,
+        },
+        Syscall::IpcAttach {
+            chan,
+            side: Side::A,
+        },
+        send(Fd(0)),
+        recv(Fd(0)),
+        send(Fd(1)),
+        recv(Fd(1)),
+        Syscall::Close { fd: Fd(0) },
+        send(Fd(0)),
+        recv(Fd(0)),
+    ]
+    .into_iter();
+    let errs = Rc::new(RefCell::new(Vec::new()));
+    let e = errs.clone();
+    k.spawn(
+        h,
+        Nice::NORMAL,
+        "misuser",
+        Box::new(move |_: &mut ResumeCtx, last: SysResult| {
+            if let SysResult::Err(errno) = last {
+                e.borrow_mut().push(errno);
+            }
+            script.next().unwrap_or(Syscall::Exit)
+        }),
+    );
+    k.run_until(secs(1));
+    use siperf_simnet::Errno::{BadFd, InvalidOp};
+    assert_eq!(
+        *errs.borrow(),
+        [InvalidOp, InvalidOp, InvalidOp, InvalidOp, BadFd, BadFd]
+    );
 }

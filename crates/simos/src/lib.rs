@@ -12,8 +12,9 @@
 //! rather than being scripted:
 //!
 //! * [`process`] — processes as resumable syscall state machines.
-//! * [`syscall`] — the syscall surface: sockets, poll, IPC with descriptor
-//!   passing, locks, timers.
+//! * [`syscall`] — the syscall surface: message sockets (UDP or SCTP,
+//!   chosen at bind), TCP streams, poll, IPC with descriptor passing,
+//!   locks, timers.
 //! * [`kernel`] — the preemptive priority scheduler over per-host cores,
 //!   blocking semantics, wakeups, descriptor tables, and the global event
 //!   loop; plus IPC deadlock detection.
@@ -24,7 +25,9 @@
 //! # Example
 //!
 //! A process that binds a UDP socket, waits for one datagram, and echoes it
-//! back:
+//! back. The protocol is chosen once, at bind: with `MsgTransport::Sctp`
+//! the same process is an SCTP echo server, because sends and receives read
+//! it from the descriptor.
 //!
 //! ```
 //! use siperf_simcore::time::{SimDuration, SimTime};
@@ -32,17 +35,21 @@
 //! use siperf_simos::cost::CostModel;
 //! use siperf_simos::kernel::Kernel;
 //! use siperf_simos::process::{Nice, ResumeCtx};
-//! use siperf_simos::syscall::{Syscall, SysResult};
+//! use siperf_simos::syscall::{Fd, MsgTransport, Syscall, SysResult};
 //!
 //! let mut kernel = Kernel::new(NetConfig::lan(), CostModel::free(), 1);
 //! let host = kernel.add_host(1);
-//! let mut step = 0;
+//! let (mut step, mut fd) = (0, Fd(0));
 //! kernel.spawn(host, Nice::NORMAL, "echo", Box::new(
 //!     move |_ctx: &mut ResumeCtx, last: SysResult| {
 //!         step += 1;
-//!         match step {
-//!             1 => Syscall::UdpBind { port: 5060 },
-//!             2 => Syscall::UdpRecv { fd: last.expect_fd() },
+//!         match (step, last) {
+//!             (1, _) => Syscall::MsgBind { proto: MsgTransport::Udp, port: 5060 },
+//!             (2, last) => {
+//!                 fd = last.expect_fd();
+//!                 Syscall::MsgRecv { fd }
+//!             }
+//!             (3, SysResult::Msg { from, data }) => Syscall::MsgSend { fd, to: from, data },
 //!             _ => Syscall::Exit,
 //!         }
 //!     },

@@ -3,6 +3,7 @@
 use siperf_simcore::time::{SimDuration, SimTime};
 use siperf_simnet::addr::{Port, SockAddr};
 use siperf_simnet::endpoint::Bytes;
+pub use siperf_simnet::endpoint::MsgTransport;
 use siperf_simnet::error::Errno;
 
 use crate::ipc::{ChanId, Side};
@@ -80,15 +81,23 @@ pub enum Syscall {
     Yield,
     /// Terminate; all descriptors are closed.
     Exit,
-    /// Bind a UDP socket on this process's host.
-    UdpBind {
+    /// Bind a message socket — a UDP socket or a one-to-many SCTP
+    /// endpoint — on this process's host. The protocol is chosen here, once:
+    /// sends, receives and their costs read it from the descriptor.
+    MsgBind {
+        /// UDP or SCTP.
+        proto: MsgTransport,
         /// Port to bind.
         port: Port,
     },
-    /// Bind a UDP socket on an ephemeral port.
-    UdpBindEphemeral,
-    /// Send a datagram.
-    UdpSend {
+    /// Bind a message socket on an ephemeral port.
+    MsgBindEphemeral {
+        /// UDP or SCTP.
+        proto: MsgTransport,
+    },
+    /// Send one whole message: a datagram, or an SCTP message whose
+    /// association the kernel manages.
+    MsgSend {
         /// Sending socket.
         fd: Fd,
         /// Destination.
@@ -96,8 +105,8 @@ pub enum Syscall {
         /// Payload.
         data: Bytes,
     },
-    /// Receive a datagram, blocking until one arrives.
-    UdpRecv {
+    /// Receive one whole message, blocking until one arrives.
+    MsgRecv {
         /// Receiving socket.
         fd: Fd,
     },
@@ -131,27 +140,6 @@ pub enum Syscall {
         fd: Fd,
         /// Maximum bytes to return.
         max: usize,
-    },
-    /// Bind an SCTP one-to-many endpoint.
-    SctpBind {
-        /// Port to bind.
-        port: Port,
-    },
-    /// Bind an SCTP endpoint on an ephemeral port.
-    SctpBindEphemeral,
-    /// Send one SCTP message (association managed by the kernel).
-    SctpSend {
-        /// Sending endpoint.
-        fd: Fd,
-        /// Destination.
-        to: SockAddr,
-        /// Whole message.
-        data: Bytes,
-    },
-    /// Receive one SCTP message, blocking until one arrives.
-    SctpRecv {
-        /// Receiving endpoint.
-        fd: Fd,
     },
     /// Close a descriptor.
     Close {
@@ -199,44 +187,6 @@ pub enum Syscall {
     },
 }
 
-/// The two message-oriented transports. UDP datagrams and SCTP one-to-many
-/// messages have one socket shape — bind a port, send whole messages to any
-/// peer, receive whole messages from any peer — so processes that speak
-/// either build their syscalls through this selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgTransport {
-    /// Plain datagrams.
-    Udp,
-    /// Kernel-managed associations.
-    Sctp,
-}
-
-impl MsgTransport {
-    /// Binds a socket on `port`.
-    pub fn bind(self, port: Port) -> Syscall {
-        match self {
-            MsgTransport::Udp => Syscall::UdpBind { port },
-            MsgTransport::Sctp => Syscall::SctpBind { port },
-        }
-    }
-
-    /// Sends one whole message to `to`.
-    pub fn send(self, fd: Fd, to: SockAddr, data: Bytes) -> Syscall {
-        match self {
-            MsgTransport::Udp => Syscall::UdpSend { fd, to, data },
-            MsgTransport::Sctp => Syscall::SctpSend { fd, to, data },
-        }
-    }
-
-    /// Receives one whole message, blocking until one arrives.
-    pub fn recv(self, fd: Fd) -> Syscall {
-        match self {
-            MsgTransport::Udp => Syscall::UdpRecv { fd },
-            MsgTransport::Sctp => Syscall::SctpRecv { fd },
-        }
-    }
-}
-
 /// The completion value delivered to [`crate::process::Process::resume`].
 #[derive(Debug, Clone)]
 pub enum SysResult {
@@ -253,11 +203,11 @@ pub enum SysResult {
         /// The bound port.
         port: Port,
     },
-    /// A received datagram.
-    Datagram {
+    /// A received UDP datagram or SCTP message.
+    Msg {
         /// Sender address.
         from: SockAddr,
-        /// Payload.
+        /// Whole message.
         data: Bytes,
     },
     /// Bytes read from a TCP stream.
@@ -270,13 +220,6 @@ pub enum SysResult {
         fd: Fd,
         /// Peer address.
         peer: SockAddr,
-    },
-    /// A received SCTP message.
-    SctpMsg {
-        /// Source association address.
-        from: SockAddr,
-        /// Whole message.
-        data: Bytes,
     },
     /// A received IPC message; `fd` (if any) is receiver-local.
     Ipc(IpcMsg),
@@ -307,17 +250,6 @@ impl SysResult {
     /// True if this is an error result.
     pub fn is_err(&self) -> bool {
         matches!(self, SysResult::Err(_))
-    }
-
-    /// Takes a received UDP datagram or SCTP message as `(from, data)`;
-    /// `None` for any other result.
-    pub fn into_msg(self) -> Option<(SockAddr, Bytes)> {
-        match self {
-            SysResult::Datagram { from, data } | SysResult::SctpMsg { from, data } => {
-                Some((from, data))
-            }
-            _ => None,
-        }
     }
 }
 
@@ -350,44 +282,6 @@ mod tests {
     #[should_panic(expected = "expected fd result")]
     fn expect_fd_panics_on_other() {
         SysResult::Done.expect_fd();
-    }
-
-    #[test]
-    fn msg_transport_selects_the_variant() {
-        let to = SockAddr::new(siperf_simnet::HostId(0), 5060);
-        let data: Bytes = siperf_simnet::endpoint::bytes_from(b"x".to_vec());
-        assert!(matches!(
-            MsgTransport::Udp.bind(1),
-            Syscall::UdpBind { port: 1 }
-        ));
-        assert!(matches!(
-            MsgTransport::Sctp.bind(1),
-            Syscall::SctpBind { port: 1 }
-        ));
-        assert!(matches!(
-            MsgTransport::Udp.send(Fd(1), to, data.clone()),
-            Syscall::UdpSend { .. }
-        ));
-        assert!(matches!(
-            MsgTransport::Sctp.send(Fd(1), to, data.clone()),
-            Syscall::SctpSend { .. }
-        ));
-        assert!(matches!(
-            MsgTransport::Udp.recv(Fd(2)),
-            Syscall::UdpRecv { fd: Fd(2) }
-        ));
-        assert!(matches!(
-            MsgTransport::Sctp.recv(Fd(2)),
-            Syscall::SctpRecv { fd: Fd(2) }
-        ));
-        let sctp = SysResult::SctpMsg {
-            from: to,
-            data: data.clone(),
-        };
-        assert_eq!(sctp.into_msg().map(|(from, _)| from), Some(to));
-        let udp = SysResult::Datagram { from: to, data };
-        assert!(udp.into_msg().is_some());
-        assert!(SysResult::Done.into_msg().is_none());
     }
 
     #[test]

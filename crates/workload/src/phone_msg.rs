@@ -2,7 +2,9 @@
 //!
 //! One simulated process per phone: bind the phone's fixed port, then let
 //! the phone front end (see [`crate::phone`]) register and call or answer.
-//! This module keeps only the I/O: one socket, receive, and send-to.
+//! This module keeps only the I/O: one socket, receive, and send-to. The
+//! transport is named once, in the `MsgBind`; every later call reads it
+//! from the descriptor.
 //! Responses are sent to the topmost Via's sent-by, as RFC 3261 §18.2.2
 //! prescribes for datagram transports.
 
@@ -11,7 +13,7 @@ use siperf_simcore::time::SimTime;
 use siperf_simnet::addr::SockAddr;
 use siperf_simnet::endpoint::Bytes;
 use siperf_simos::process::{Process, ResumeCtx};
-use siperf_simos::syscall::{Fd, MsgTransport, SysResult, Syscall};
+use siperf_simos::syscall::{Fd, SysResult, Syscall};
 
 use crate::phone::{FrontEnd, PhoneCfg, Step};
 
@@ -28,26 +30,16 @@ enum Phase {
 /// A UDP/SCTP phone process (caller or callee).
 pub struct MsgPhone {
     fe: FrontEnd<SockAddr>,
-    mt: MsgTransport,
     fd: Fd,
     phase: Phase,
 }
 
 impl MsgPhone {
-    /// Creates the phone process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured transport is TCP (see
-    /// [`crate::phone_tcp::TcpPhone`]).
+    /// Creates the phone process. Its first activation panics if the
+    /// configured transport is TCP (see [`crate::phone_tcp::TcpPhone`]).
     pub fn new(cfg: PhoneCfg) -> Self {
-        let mt = cfg
-            .transport
-            .msg_transport()
-            .expect("MsgPhone speaks UDP or SCTP");
         MsgPhone {
             fe: FrontEnd::new(cfg),
-            mt,
             fd: Fd(u32::MAX),
             phase: Phase::Start,
         }
@@ -56,7 +48,7 @@ impl MsgPhone {
     /// Queues any due 200 OKs, then runs the script or polls.
     fn park(&mut self, now: SimTime) -> Syscall {
         while let Some((dest, ok)) = self.fe.pop_due(now) {
-            self.fe.queue(self.mt.send(self.fd, dest, ok));
+            self.queue_sends(dest, [ok]);
         }
         if let Some(s) = self.fe.next_queued() {
             self.phase = Phase::Script;
@@ -69,16 +61,17 @@ impl MsgPhone {
         }
     }
 
-    fn queue_sends(&mut self, to: SockAddr, msgs: Vec<Bytes>) {
-        for m in msgs {
-            self.fe.queue(self.mt.send(self.fd, to, m));
+    fn queue_sends(&mut self, to: SockAddr, msgs: impl IntoIterator<Item = Bytes>) {
+        let fd = self.fd;
+        for data in msgs {
+            self.fe.queue(Syscall::MsgSend { fd, to, data });
         }
     }
 
     /// Sends a REGISTER under a fresh clock.
     fn register(&mut self, now: SimTime) -> Syscall {
         let msg = self.fe.register(now);
-        self.queue_sends(self.fe.cfg().proxy, vec![msg]);
+        self.queue_sends(self.fe.cfg().proxy, [msg]);
         self.park(now)
     }
 
@@ -103,7 +96,14 @@ impl Process for MsgPhone {
         match std::mem::replace(&mut self.phase, Phase::Start) {
             Phase::Start => {
                 self.phase = Phase::Bound;
-                self.mt.bind(self.fe.cfg().port)
+                let cfg = self.fe.cfg();
+                Syscall::MsgBind {
+                    proto: cfg
+                        .transport
+                        .msg_transport()
+                        .expect("MsgPhone speaks UDP or SCTP"),
+                    port: cfg.port,
+                }
             }
             Phase::Bound => {
                 self.fd = last.expect_fd();
@@ -121,7 +121,7 @@ impl Process for MsgPhone {
             Phase::Polling => match last {
                 SysResult::Ready(_) => {
                     self.phase = Phase::Receiving;
-                    self.mt.recv(self.fd)
+                    Syscall::MsgRecv { fd: self.fd }
                 }
                 SysResult::TimedOut => {
                     let step = self.fe.on_timeout(ctx.now);
@@ -130,7 +130,9 @@ impl Process for MsgPhone {
                 other => panic!("phone poll got {other:?}"),
             },
             Phase::Receiving => {
-                let (from, data) = last.into_msg().expect("phone recv returns a message");
+                let SysResult::Msg { from, data } = last else {
+                    panic!("phone recv got {last:?}");
+                };
                 let step = self.fe.on_message(ctx.now, &data, |msg| {
                     msg.vias
                         .first()
