@@ -18,8 +18,8 @@
 //!   endpoint type for UDP and SCTP, the protocol chosen at bind.
 //! * [`tcp`] — handshake, ordered byte streams with real segmentation,
 //!   receive-window backpressure, accept queues, TIME_WAIT.
-//! * [`sctp`] — one-to-many message endpoints with kernel-managed
-//!   associations (the §6 alternative).
+//! * [`sctp`] — sending and delivery on one-to-many endpoints with
+//!   kernel-managed associations (the §6 alternative).
 //!
 //! The crate never blocks and never owns a clock: operations take `now`,
 //! emit timestamped [`event::NetEvent`]s for the caller to schedule, and

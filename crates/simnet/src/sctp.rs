@@ -12,7 +12,9 @@
 //! The model captures exactly those properties: a one-to-many endpoint
 //! bound to a port, whole-message delivery, and a kernel-managed association
 //! table that charges a setup round-trip latency to the first exchange with
-//! each peer and nothing thereafter.
+//! each peer and nothing thereafter. An SCTP endpoint is a message socket
+//! ([`crate::endpoint::MsgEp`]) bound, read and closed by the code it shares
+//! with UDP in [`crate::net`]; only sending and delivery live here.
 
 use siperf_simcore::time::SimTime;
 
